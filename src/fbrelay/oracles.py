@@ -16,6 +16,16 @@ share code with the closed forms they validate:
   smaller variance than thresholded packet outcomes; a Bernoulli mode is
   available for packet-level realism.
 
+Both adaptive quadratures run a vectorized, globally budgeted 21-point Gauss-Kronrod
+rule (QUADPACK's qk21 nodes and weights) on array integrands.  Every cut
+interval starts as equal panels; each pass evaluates all open panels in one
+array call of the integrand, accepts a panel once its Kronrod-minus-Gauss
+difference is within abs_tol times its share of the total width, and
+bisects the rest.  A panel cap bounds the work; reaching it, or a
+non-finite panel sum, raises ConvergenceError.  The fixed-rule cross-check
+fading_outage_quadrature_fixed keeps composite Gauss-Legendre on a scalar
+integrand, so it shares neither scheme nor arithmetic with them.
+
 Monte Carlo reproducibility contract: the estimate is a pure function of
 (seed, trials, partitions, stream).  Each partition owns a counter-based
 generator keyed by (seed, stream, partition index), and partial sums are
@@ -32,7 +42,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import erfc
 
 from .closed_form import HypoexpParams, hypoexp_cdf, hypoexp_pdf
@@ -47,6 +56,68 @@ MAX_WORKERS_ENV = "FBRELAY_MAX_WORKERS"
 _SATURATION_SIGMAS = 42.0
 
 _ABS_TOL_RANGE = (1e-13, 1e-6)
+
+#: QUADPACK qk21 on [-1, 1]: the Kronrod nodes from the edge inwards (the
+#: odd-indexed ones are the 10-point Gauss nodes), their Kronrod weights,
+#: and the Gauss weights of the odd-indexed nodes.
+_QK21_NODES = (
+    0.995657163025808080735527280689003,
+    0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508,
+    0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042,
+    0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694,
+    0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866,
+    0.148874338981631210884826001129720,
+    0.000000000000000000000000000000000,
+)
+_QK21_KRONROD_WEIGHTS = (
+    0.011694638867371874278064396062192,
+    0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580,
+    0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366,
+    0.109387158802297641899210590325805,
+    0.123491976262065851077208745694460,
+    0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717,
+    0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+)
+_QK21_GAUSS_WEIGHTS = (
+    0.066671344308688137593568809893332,
+    0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163,
+    0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+)
+
+
+def _gk21_tables() -> "tuple[np.ndarray, np.ndarray]":
+    """The 21 nodes on [-1, 1], ascending, and a (21, 2) matrix whose
+    columns are the Kronrod weights and the embedded Gauss weights (zero at
+    the Kronrod-only nodes)."""
+    half = np.array(_QK21_NODES[:-1])
+    nodes = np.concatenate((-half, [0.0], half[::-1]))
+    gauss = np.zeros(11)
+    gauss[1::2] = _QK21_GAUSS_WEIGHTS
+    kronrod = np.array(_QK21_KRONROD_WEIGHTS)
+    weights = np.stack(
+        (np.concatenate((kronrod, kronrod[-2::-1])), np.concatenate((gauss, gauss[-2::-1]))),
+        axis=1,
+    )
+    return nodes, weights
+
+
+_GK21_NODES, _GK21_WEIGHTS = _gk21_tables()
+
+#: Equal panels each cut interval starts with.
+_START_PANELS = 8
+
+#: Most panels a partition may hold (QUADPACK's limit is 400 subintervals).
+_PANEL_LIMIT = 400
 
 _MIN_TRIALS = 10_000
 
@@ -122,10 +193,24 @@ def _as_density(channel) -> "ExponentialDensity | HypoexpParams":
     raise DomainError(f"cannot interpret {channel!r} as a channel density")
 
 
-def _density_pdf(density, w: float) -> float:
+def _density_pdf(density, w: np.ndarray) -> np.ndarray:
+    """Array twin of ExponentialDensity.pdf and hypoexp_pdf, for w >= 0.
+
+    With big > small the two means, the distinct-means density is taken as
+    exp(-w/big) * -expm1(-w * gap/(big*small)) / gap, gap = big - small: the
+    value of hypoexp_pdf's difference of exponentials without its
+    cancellation near w = 0 and near equal means.  That cancellation is
+    rounding noise, which adaptive quadrature would try to resolve by
+    subdivision.
+    """
     if isinstance(density, ExponentialDensity):
-        return density.pdf(w)
-    return hypoexp_pdf(w, density)
+        return np.exp(-w / density.mean) / density.mean
+    oz, oy = density.omega_z, density.omega_y
+    if density.equal_means:
+        return (w / (oz * oz)) * np.exp(-w / oz)
+    big, small = max(oz, oy), min(oz, oy)
+    gap = big - small
+    return np.exp(-w / big) * -np.expm1(-w * (gap / (big * small))) / gap
 
 
 def _density_cdf(density, w: float) -> float:
@@ -148,22 +233,43 @@ def _check_abs_tol(abs_tol: float) -> float:
 
 
 def _integrate_pieces(integrand, cuts: "list[float]", abs_tol: float) -> float:
-    """Adaptive quadrature over consecutive [cuts[i], cuts[i+1]] intervals."""
-    spans = [(a, b) for a, b in zip(cuts, cuts[1:]) if b > a]
-    if not spans:
+    """Adaptive Gauss-Kronrod quadrature over consecutive [cuts[i], cuts[i+1]].
+
+    integrand maps an array of abscissae to an array of values.  The error
+    budget is global: a panel is accepted once |K21 - G10| is at most abs_tol
+    times its share of the total width, so the differences of all accepted
+    panels add up to at most abs_tol.
+    """
+    edges = np.asarray(cuts, dtype=float)
+    keep = edges[1:] > edges[:-1]
+    lo, hi = edges[:-1][keep], edges[1:][keep]
+    if lo.size == 0:
         return 0.0
-    per_piece = abs_tol / len(spans)
+    tol_per_width = abs_tol / float(np.sum(hi - lo))
+    grid = lo[:, None] + (hi - lo)[:, None] * (np.arange(_START_PANELS + 1) / _START_PANELS)
+    left, right = grid[:, :-1].ravel(), grid[:, 1:].ravel()
+    mid, half = 0.5 * (left + right), 0.5 * (right - left)
+    panels = mid.size
     total = 0.0
-    for a, b in spans:
-        value, _abserr, info, *tail = quad(
-            integrand, a, b, epsabs=per_piece, epsrel=0.0, limit=400, full_output=1
-        )
-        if tail:  # a message element is appended exactly when QUADPACK gave up
+    while True:
+        values = integrand(mid[:, None] + half[:, None] * _GK21_NODES)
+        sums = (values @ _GK21_WEIGHTS) * half[:, None]  # columns: Kronrod, Gauss
+        if not np.all(np.isfinite(sums)):
             raise ConvergenceError(
-                f"quadrature failed on [{a!r}, {b!r}]: {tail[0]}"
+                f"quadrature over {cuts!r} hit a non-finite panel sum"
             )
-        total += value
-    return total
+        done = np.abs(sums[:, 0] - sums[:, 1]) <= tol_per_width * (2.0 * half)
+        total += float(np.sum(sums[done, 0]))
+        mid, half = mid[~done], 0.5 * half[~done]
+        if mid.size == 0:
+            return total
+        panels += mid.size
+        if panels > _PANEL_LIMIT:
+            raise ConvergenceError(
+                f"quadrature over {cuts!r} needs more than {_PANEL_LIMIT} panels "
+                f"to reach abs_tol={abs_tol!r}"
+            )
+        mid, half = np.concatenate((mid - half, mid + half)), np.concatenate((half, half))
 
 
 def _transition_window(n: int, rate: float) -> "tuple[float, float, float]":
@@ -173,6 +279,20 @@ def _transition_window(n: int, rate: float) -> "tuple[float, float, float]":
     slope = math.sqrt(n / math.expm1(2.0 * rate * LN2))  # d(argument)/dw at w0
     width = _SATURATION_SIGMAS / slope
     return w0, max(0.0, w0 - width), w0 + width
+
+
+def _axis_cuts(n: int, rate: float, density) -> "tuple[float, list[float]]":
+    """(head, cuts) for a true-tail quadrature: the density's mass below the
+    saturated window, and the breakpoints to integrate over."""
+    w0, w_lo, w_hi = _transition_window(n, rate)
+    head = _density_cdf(density, w_lo) if w_lo > 0.0 else 0.0
+    cuts = [w_lo, w0, w_hi]
+    # If the density decays long before the transition, hint the mass scale
+    # so the subdivision does not have to discover it on a huge interval.
+    scale = 50.0 * _density_scale(density)
+    if w_lo + scale < w0:
+        cuts.insert(1, w_lo + scale)
+    return head, cuts
 
 
 def fading_outage_quadrature(
@@ -192,19 +312,10 @@ def fading_outage_quadrature(
     if not (rate > 0.0) or not math.isfinite(rate):
         raise DomainError(f"rate must be a positive finite number, got {rate!r}")
     density = _as_density(channel)
+    head, cuts = _axis_cuts(n, rate, density)
 
-    w0, w_lo, w_hi = _transition_window(n, rate)
-    head = _density_cdf(density, w_lo) if w_lo > 0.0 else 0.0
-
-    cuts = [w_lo, w0, w_hi]
-    # If the density decays long before the transition, hint the mass scale
-    # so the subdivision does not have to discover it on a huge interval.
-    scale = 50.0 * _density_scale(density)
-    if w_lo + scale < w0:
-        cuts.insert(1, w_lo + scale)
-
-    def integrand(w: float) -> float:
-        return outage_given_snr(n, rate, w) * _density_pdf(density, w)
+    def integrand(w: np.ndarray) -> np.ndarray:
+        return _conditional_outage_np(n, rate, w) * _density_pdf(density, w)
 
     value = head + _integrate_pieces(integrand, cuts, abs_tol)
     value = min(max(value, 0.0), 1.0)  # round-off at the saturated ends
@@ -227,13 +338,12 @@ def fading_outage_quadrature_fixed(
     if panels < 1 or order < 2:
         raise DomainError(f"need panels >= 1 and order >= 2, got {panels!r}, {order!r}")
     density = _as_density(channel)
-    w0, w_lo, w_hi = _transition_window(n, rate)
-    head = _density_cdf(density, w_lo) if w_lo > 0.0 else 0.0
-
-    cuts = [w_lo, w0, w_hi]
-    scale = 50.0 * _density_scale(density)
-    if w_lo + scale < w0:
-        cuts.insert(1, w_lo + scale)
+    head, cuts = _axis_cuts(n, rate, density)
+    if isinstance(density, ExponentialDensity):
+        pdf = density.pdf
+    else:
+        def pdf(x: float) -> float:
+            return hypoexp_pdf(x, density)
 
     nodes, weights = np.polynomial.legendre.leggauss(order)
     total = head
@@ -246,7 +356,7 @@ def fading_outage_quadrature_fixed(
             half = 0.5 * (right - left)
             for t, w in zip(nodes, weights):
                 x = mid + half * t
-                total += half * w * outage_given_snr(n, rate, x) * _density_pdf(density, x)
+                total += half * w * outage_given_snr(n, rate, x) * pdf(x)
     return float(min(max(total, 0.0), 1.0))
 
 
@@ -272,7 +382,7 @@ def linearized_outage_quadrature(
     theta = params.theta
     cuts = [a, theta, hi] if a < theta else [a, hi]
 
-    def integrand(t: float) -> float:
+    def integrand(t: np.ndarray) -> np.ndarray:
         return (0.5 - m * (t - theta)) * _density_pdf(density, t)
 
     value = head + _integrate_pieces(integrand, cuts, abs_tol)

@@ -179,6 +179,24 @@ def test_convention_report_is_current():
     assert "Better convention: `nats`" in summary
 
 
+def test_true_tail_quadrature_reproduces_every_report_row():
+    """The adaptive true-tail oracle reproduces every committed eps_true of
+    the 768-cell lattice, the numbers the accuracy report was made with."""
+    start = time.perf_counter()
+    rows = _report_rows()
+    assert len(rows) == 768
+    worst = 0.0
+    for row in rows:
+        kind, n, rate = row["kind"], int(row["n"]), float(row["rate"])
+        oz, oy = float(row["omega_z"]), float(row["omega_y"])
+        channel = oz if kind == "single" else HypoexpParams(oz, oy)
+        truth = fading_outage_quadrature(n, rate, channel, abs_tol=1e-12).value
+        worst = max(worst, abs(truth - float(row["eps_true"])))
+    elapsed = time.perf_counter() - start
+    assert worst <= 1e-12, f"worst |delta| {worst:.3g} over the 768 rows"
+    assert elapsed < 5.0, f"768 quadratures took {elapsed:.1f}s"
+
+
 def test_better_convention_within_10_percent():
     """The better convention's closed form is required to stay within 10%
     of the true-Q quadrature wherever the true outage is >= 1e-3.  Measured:

@@ -6,6 +6,9 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -288,3 +291,18 @@ class TestGroupPlumbing:
         bad, good = doc["rows"]
         assert bad["outage"] is None and bad["error"]
         assert isinstance(good["outage"], float) and not math.isnan(good["outage"])
+
+    def test_import_leaves_scipy_integrate_unloaded(self):
+        # Every CLI process pays its imports; quadrature needs no scipy.integrate.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(fbrelay.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        probe = (
+            "import sys, fbrelay.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+            timeout=120, check=True,
+        )
+        assert done.stdout.strip() == "[]"

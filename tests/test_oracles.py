@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
+from conftest import BLOCKLENGTHS, RATES
 from fbrelay import (
     ConvergenceError,
     DomainError,
@@ -21,15 +23,119 @@ from fbrelay import (
     fading_outage_mc,
     fading_outage_quadrature,
     fading_outage_quadrature_fixed,
+    hypoexp_pdf,
     linearize,
     linearized_outage_quadrature,
     mrc_pair_outage,
+    outage_given_snr,
     rayleigh_outage,
+)
+from fbrelay.oracles import (
+    _GK21_NODES,
+    _GK21_WEIGHTS,
+    _PANEL_LIMIT,
+    _conditional_outage_np,
+    _density_pdf,
+    _integrate_pieces,
 )
 
 TRUTH_SINGLE = 0.040768730966325335  # n=500 R=1/2 mean 10
 TRUTH_PAIR_UNEQ = 0.0032688335666099812  # means (10, 2.5)
 TRUTH_PAIR_EQ = 0.0008522397419654721  # means (10, 10)
+
+
+class TestGaussKronrodRule:
+    """The hand-entered qk21 table: a wrong digit breaks one of these."""
+
+    @staticmethod
+    def _moment_errors(weights, degrees):
+        exact = [2.0 / (d + 1) if d % 2 == 0 else 0.0 for d in degrees]
+        return [abs(float(np.dot(weights, _GK21_NODES**d)) - e) for d, e in zip(degrees, exact)]
+
+    def test_kronrod_weights_exact_to_degree_31(self):
+        assert max(self._moment_errors(_GK21_WEIGHTS[:, 0], range(32))) < 1e-15
+
+    def test_gauss_weights_exact_to_degree_19(self):
+        assert max(self._moment_errors(_GK21_WEIGHTS[:, 1], range(20))) < 1e-15
+        # and no further: x^20 is where a 10-point Gauss rule first errs
+        assert self._moment_errors(_GK21_WEIGHTS[:, 1], [20])[0] > 1e-6
+
+    def test_weight_sums_and_symmetry(self):
+        assert _GK21_WEIGHTS.sum(axis=0) == pytest.approx([2.0, 2.0], abs=1e-15)
+        assert np.array_equal(_GK21_NODES, -_GK21_NODES[::-1])
+        assert np.array_equal(_GK21_WEIGHTS, _GK21_WEIGHTS[::-1])
+        gauss_nodes = _GK21_NODES[_GK21_WEIGHTS[:, 1] > 0]
+        assert gauss_nodes == pytest.approx(np.polynomial.legendre.leggauss(10)[0], abs=1e-15)
+
+    def test_smooth_integrand_over_several_cuts(self):
+        value = _integrate_pieces(np.exp, [0.0, 0.5, 0.5, 3.0], 1e-13)
+        assert value == pytest.approx(math.expm1(3.0), abs=1e-12)
+        assert _integrate_pieces(np.exp, [1.0, 1.0], 1e-10) == 0.0
+
+    def test_nan_integrand_raises(self):
+        with pytest.raises(ConvergenceError):
+            _integrate_pieces(lambda x: np.full(x.shape, math.nan), [0.0, 1.0, 2.0], 1e-10)
+
+    def test_noise_integrand_raises_within_the_cap(self):
+        rng = np.random.default_rng(20_261_017)
+        evaluated = []
+
+        def noise(x):
+            evaluated.append(x.size)
+            return rng.standard_normal(x.shape)
+
+        with pytest.raises(ConvergenceError):
+            _integrate_pieces(noise, [0.0, 1.0, 5.0], 1e-10)
+        # open panels at most double per pass and stop once the partition
+        # outgrows the cap, so the rule evaluates fewer than 2 * cap panels
+        assert sum(evaluated) < 2 * _PANEL_LIMIT * len(_GK21_NODES)
+
+
+class TestArrayIntegrand:
+    """The adaptive oracles' array integrand against the scalar functions
+    the fixed rule uses."""
+
+    W = np.concatenate((np.geomspace(1e-300, 1e-3, 200), np.geomspace(1e-3, 1e6, 4000)))
+
+    def test_conditional_error_matches_outage_given_snr(self):
+        for n in BLOCKLENGTHS:
+            for rate in RATES:
+                array = _conditional_outage_np(n, rate, self.W)
+                scalar = np.array([outage_given_snr(n, rate, w) for w in self.W])
+                # both saturated ends are on the grid and agree exactly
+                assert array[0] == scalar[0] == 1.0 and array[-1] == scalar[-1] == 0.0
+                # numpy's log1p may differ from libm's in the last bit; a
+                # relative change of the Q argument is amplified ~arg^2 in Q
+                arg = np.sqrt(n) * (np.log1p(self.W) - rate * math.log(2.0)) * (
+                    1.0 + self.W) / np.sqrt(self.W * (2.0 + self.W))
+                rel = 1e-13 * np.maximum(1.0, (arg / 10.0) ** 2)
+                assert np.all(np.abs(array - scalar) <= rel * scalar)
+
+    @pytest.mark.parametrize("mean", [0.01, 1.0, 10.0, 1000.0])
+    def test_exponential_pdf(self, mean):
+        d = ExponentialDensity(mean)
+        scalar = np.array([d.pdf(w) for w in self.W])
+        assert np.all(np.abs(_density_pdf(d, self.W) - scalar) <= 1e-13 * scalar)
+
+    @pytest.mark.parametrize(
+        "oz,oy", [(10.0, 10.0), (10.0, 2.5), (2.5, 10.0), (1.0, 10.0**-0.6), (10.0, 10.0 + 1e-6)]
+    )
+    def test_hypoexponential_pdf(self, oz, oy):
+        params = HypoexpParams(oz, oy)
+        array = _density_pdf(params, self.W)
+        scalar = np.array([hypoexp_pdf(w, params) for w in self.W])
+        # hypoexp_pdf subtracts two exponentials, each off by about
+        # (1 + w/mean) ulps (its rounded argument); the difference keeps that
+        # absolute error, which dominates near w = 0 and near equal means.
+        # The array form does not cancel.
+        def term_error(mean):
+            return (1.0 + self.W / mean) * np.exp(-self.W / mean)
+
+        slack = 0.0 if params.equal_means else (
+            2.0 * np.finfo(float).eps * (term_error(oz) + term_error(oy)) / abs(oz - oy)
+        )
+        # subnormal values (w far out in the tail) have no relative precision
+        assert np.all(np.abs(array - scalar) <= 1e-13 * array + slack + np.finfo(float).tiny)
 
 
 class TestOutageEstimate:
@@ -82,6 +188,18 @@ class TestTrueTailQuadrature:
                 fixed = fading_outage_quadrature_fixed(n, rate, channel)
                 assert fixed == pytest.approx(adaptive, abs=5e-14)
 
+    def test_widely_separated_branch_means(self):
+        # the weaker branch's density rises on the scale of its mean, far
+        # inside the first cut interval; references are 30-digit mpmath
+        # quadratures with breakpoints on that scale
+        for (n, rate, oz, oy), truth in (
+            ((200, 0.05, 0.01, 1e-6), 0.93964183705228577544),
+            ((500, 0.5, 0.05, 1e-5), 0.99964882560855235886),
+            ((1000, 0.3, 0.02, 4e-6), 0.99998358741431054955),
+        ):
+            est = fading_outage_quadrature(n, rate, HypoexpParams(oz, oy))
+            assert est.value == pytest.approx(truth, abs=1e-10)
+
     def test_method_tag(self):
         est = fading_outage_quadrature(500, 0.5, 10.0)
         assert est.method is EstimateMethod.QUAD_TRUE_Q
@@ -123,6 +241,12 @@ class TestLinearizedQuadrature:
         assert est.value == pytest.approx(
             mrc_pair_outage(500, 0.5, pair, ramp="mu"), abs=1e-10
         )
+
+    def test_widely_separated_branch_means(self):
+        # 30-digit mpmath reference, as in the true-tail test of the same name
+        params = linearize(100, 0.01, 1.0)
+        est = linearized_outage_quadrature(params, HypoexpParams(0.005, 7e-7))
+        assert est.value == pytest.approx(0.5558602635303962011, abs=1e-10)
 
     def test_saturated_head_is_counted(self):
         # theta much larger than the mean: nearly the whole mass sits in the
