@@ -12,6 +12,13 @@ Three instruments:
 * ``reliability_region`` maps success probability 1 - outage over a
   (blocklength, payload) grid at fixed SNR, the raw material for
   "which (n, k) achieve 99.9%" contour questions.
+
+With the closed backend each instrument evaluates its grid in one batch
+(``protocols.closed_outages``): a sweep once per protocol, a power-split
+search's coarse scan once, and a fixed-split region map once.  The values
+are bit for bit those of per-cell evaluation, and so are the failed cells
+and their messages.  The quadrature and Monte Carlo backends, the
+golden-section steps and per-cell split optimization stay per cell.
 """
 
 from __future__ import annotations
@@ -20,14 +27,18 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError, FbrelayError
-from .finite_blocklength import SnrValue
+from .finite_blocklength import MIN_BLOCKLENGTH, RateSpec, SnrValue
 from .linearization import LinConvention
 from .protocols import (
     Backend,
     BackendKind,
     ProtocolKind,
+    TopologyCells,
     TopologyConfig,
+    closed_outages,
     protocol_outage,
 )
 
@@ -43,6 +54,10 @@ _GOLDEN = 2.0 / (1.0 + math.sqrt(5.0))
 #: No code maps more than 8 bits onto one channel use in this package's
 #: regime of interest; region grids beyond that are rejected outright.
 MAX_BITS_PER_USE = 8.0
+
+#: Integers below this convert to float exactly, so a batch's k / n rounds
+#: as Python's does; larger blocklengths or payloads are evaluated per cell.
+_EXACT_INT = 2 ** 53
 
 
 @dataclass(frozen=True)
@@ -137,13 +152,27 @@ def _evaluate(
     return est.value, est.std_error, None
 
 
+def _message(exc: Exception) -> str:
+    """The message of a batch cell's package error.  Any other exception is
+    raised, as per-cell evaluation raises it."""
+    if not isinstance(exc, FbrelayError):
+        raise exc
+    return str(exc)
+
+
+def _outcome(value: float, exc: "Exception | None") -> "tuple[float, None, str | None]":
+    """_evaluate's triple for a closed-form batch cell."""
+    return (value, None, None) if exc is None else (math.nan, None, _message(exc))
+
+
 def _row(
     protocol: ProtocolKind,
     cfg: TopologyConfig,
     backend: Backend,
     convention: LinConvention,
+    outcome: "tuple[float, float | None, str | None]",
 ) -> SweepRow:
-    outage, std_error, error = _evaluate(protocol, cfg, backend, convention)
+    outage, std_error, error = outcome
     return SweepRow(
         protocol=protocol.value,
         backend=backend.label,
@@ -159,31 +188,6 @@ def _row(
         outage=outage,
         std_error=std_error,
         error=error,
-    )
-
-
-def _error_row(
-    protocol: ProtocolKind,
-    base: TopologyConfig,
-    backend: Backend,
-    convention: LinConvention,
-    message: str,
-) -> SweepRow:
-    return SweepRow(
-        protocol=protocol.value,
-        backend=backend.label,
-        convention=convention.value,
-        snr_db=base.total_snr.to_db(),
-        eta=base.eta,
-        beta=base.beta,
-        alpha=base.path_loss_exp,
-        n_s=base.n_s,
-        n_r=base.n_r,
-        k=base.k,
-        rate=base.rate_s,
-        outage=math.nan,
-        std_error=None,
-        error=message,
     )
 
 
@@ -236,7 +240,7 @@ def sweep(
     if any(b > a for a, b in zip(values[1:], values)):
         raise DomainError("sweep values must be sorted ascending")
 
-    rows: "list[SweepRow]" = []
+    points: "list[tuple[TopologyConfig | None, str | None]]" = []
     for value in values:
         try:
             if axis == "total_snr":
@@ -250,14 +254,43 @@ def sweep(
                 cfg = dataclasses.replace(base, eta=float(value))
         except FbrelayError as exc:
             # the point itself is malformed; report it against the base config
-            msg = f"{axis}={value!r}: {exc}"
+            points.append((None, f"{axis}={value!r}: {exc}"))
+            continue
+        points.append((cfg, None))
+
+    valid = [cfg for cfg, _msg in points if cfg is not None]
+    closed = {}  # protocol -> (outage per valid point, failures)
+    if valid and any(b.kind is BackendKind.CLOSED_FORM for b in bends):
+        ints = [base.k] + [c.n_s for c in valid] + [c.n_r for c in valid]
+        if max(ints) < _EXACT_INT:
+            if axis == "total_snr":
+                column = {"total_snr": [c.total_snr.value for c in valid]}
+            elif axis == "blocklength":
+                column = {"n": [c.n_s for c in valid]}
+            else:
+                column = {"eta": [c.eta for c in valid]}
+            cells = TopologyCells(base, **column)
+            for kind in kinds:
+                outage, failures = closed_outages(kind, cells, convention)
+                closed[kind] = (outage.tolist(), failures)
+
+    rows: "list[SweepRow]" = []
+    j = 0  # index of the point among the valid ones
+    for cfg, msg in points:
+        if cfg is None:
             for kind in kinds:
                 for backend in bends:
-                    rows.append(_error_row(kind, base, backend, convention, msg))
+                    rows.append(_row(kind, base, backend, convention, (math.nan, None, msg)))
             continue
         for kind in kinds:
             for backend in bends:
-                rows.append(_row(kind, cfg, backend, convention))
+                if backend.kind is BackendKind.CLOSED_FORM and kind in closed:
+                    outage, failures = closed[kind]
+                    outcome = _outcome(outage[j], failures.get(j))
+                else:
+                    outcome = _evaluate(kind, cfg, backend, convention)
+                rows.append(_row(kind, cfg, backend, convention, outcome))
+        j += 1
     return rows
 
 
@@ -312,8 +345,14 @@ def optimize_eta(
         ).value
 
     grid = _coarse_grid(coarse_step)
-    profile = [(eta, f(eta)) for eta in grid]
-    values = [v for _, v in profile]
+    if backend.kind is BackendKind.CLOSED_FORM and max(cfg.n_s, cfg.n_r, cfg.k) < _EXACT_INT:
+        outage, failures = closed_outages(protocol, TopologyCells(cfg, eta=grid), convention)
+        if failures:
+            raise failures[min(failures)]  # where the per-point scan stops
+        values = outage.tolist()
+    else:
+        values = [f(eta) for eta in grid]
+    profile = list(zip(grid, values))
     best_i = min(range(len(values)), key=values.__getitem__)
     best_eta, best_eps = profile[best_i]
 
@@ -403,32 +442,36 @@ def reliability_region(
     if optimize_power_split and backend.kind is BackendKind.MONTE_CARLO:
         raise DomainError("optimize_power_split requires a deterministic backend")
 
-    errors: "list[str]" = []
-    matrix: "list[tuple[float, ...]]" = []
-    for n in ns:
-        row: "list[float]" = []
-        for k in ks:
-            try:
-                cfg = TopologyConfig(
-                    total_snr=snr,
-                    eta=eta,
-                    beta=beta,
-                    path_loss_exp=path_loss_exp,
-                    n_s=n,
-                    n_r=n,
-                    k=k,
-                    allow_short=allow_short,
-                )
-                if optimize_power_split:
-                    eps = optimize_eta(protocol, cfg, backend, convention).eps_star
-                else:
-                    eps = protocol_outage(protocol, cfg, backend, convention).value
-            except FbrelayError as exc:
-                errors.append(f"n={n} k={k}: {exc}")
-                row.append(math.nan)
-                continue
-            row.append(1.0 - eps)
-        matrix.append(tuple(row))
+    if (backend.kind is BackendKind.CLOSED_FORM and not optimize_power_split
+            and ns[-1] < _EXACT_INT and ks[-1] < _EXACT_INT):
+        errors, matrix = _closed_region(protocol, snr, ns, ks, convention, eta, beta,
+                                        path_loss_exp, allow_short)
+    else:
+        errors, matrix = [], []
+        for n in ns:
+            row: "list[float]" = []
+            for k in ks:
+                try:
+                    cfg = TopologyConfig(
+                        total_snr=snr,
+                        eta=eta,
+                        beta=beta,
+                        path_loss_exp=path_loss_exp,
+                        n_s=n,
+                        n_r=n,
+                        k=k,
+                        allow_short=allow_short,
+                    )
+                    if optimize_power_split:
+                        eps = optimize_eta(protocol, cfg, backend, convention).eps_star
+                    else:
+                        eps = protocol_outage(protocol, cfg, backend, convention).value
+                except FbrelayError as exc:
+                    errors.append(f"n={n} k={k}: {exc}")
+                    row.append(math.nan)
+                    continue
+                row.append(1.0 - eps)
+            matrix.append(tuple(row))
 
     return RegionGrid(
         protocol=protocol,
@@ -440,3 +483,50 @@ def reliability_region(
         success=tuple(matrix),
         errors=tuple(errors),
     )
+
+
+def _closed_region(protocol, snr, ns, ks, convention, eta, beta, path_loss_exp, allow_short):
+    """(errors, matrix) of a closed-form map at a fixed split, in one batch.
+
+    The topology fields are validated once and each blocklength once (the
+    payloads are positive integers already), in the order TopologyConfig
+    checks them, so a refused cell carries the message its own
+    TopologyConfig would raise; short blocklengths warn once each.
+    """
+    try:
+        base = TopologyConfig(total_snr=snr, eta=eta, beta=beta, path_loss_exp=path_loss_exp,
+                              n_s=MIN_BLOCKLENGTH, n_r=MIN_BLOCKLENGTH, k=1)
+    except FbrelayError as exc:
+        refused = {n: str(exc) for n in ns}
+    else:
+        refused = {}
+        for n in ns:
+            try:
+                RateSpec(ks[0], n, allow_short=allow_short)
+            except FbrelayError as exc:
+                refused[n] = str(exc)
+    kept = [n for n in ns if n not in refused]
+    width = len(ks)
+    if kept:
+        cells = TopologyCells(base, n=np.repeat(kept, width), k=np.tile(ks, len(kept)))
+        outage, failures = closed_outages(protocol, cells, convention)
+        success = (1.0 - outage).tolist()
+    else:
+        success, failures = [], {}
+    failed_in_row: "dict[int, list[int]]" = {}
+    for i in sorted(failures):
+        failed_in_row.setdefault(i // width, []).append(i)
+
+    errors: "list[str]" = []
+    matrix: "list[tuple[float, ...]]" = []
+    r = 0  # row among the evaluated blocklengths
+    for n in ns:
+        if n in refused:
+            errors.extend(f"n={n} k={k}: {refused[n]}" for k in ks)
+            matrix.append((math.nan,) * width)
+            continue
+        for i in failed_in_row.get(r, ()):
+            errors.append(f"n={n} k={ks[i - r * width]}: {_message(failures[i])}")
+        matrix.append(tuple(success[r * width:(r + 1) * width]))
+        r += 1
+    return errors, matrix

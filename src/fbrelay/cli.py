@@ -67,6 +67,9 @@ CSV_FIELDS = (
     "error",
 )
 
+#: The leading columns, which hold one value across a whole region map.
+_HEAD = CSV_FIELDS.index("n_s")
+
 _ALL_PROTOCOLS = tuple(p.value for p in ProtocolKind)
 _BACKEND_CHOICES = ("closed", "quad", "mc")
 
@@ -169,13 +172,24 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _fields(row: SweepRow) -> tuple:
+    return tuple(getattr(row, field) for field in CSV_FIELDS)
+
+
+def _csv_line(values) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(map(_fmt, values))
+    return buf.getvalue()
+
+
 def _emit(
-    rows: "list[SweepRow]",
+    rows: "list[tuple]",
     ctx: click.Context,
     sources: "dict[str, str]",
     extra: "dict[str, object] | None" = None,
 ) -> None:
-    """Render rows as commented CSV or JSON, to stdout or --output."""
+    """Render rows (tuples in CSV_FIELDS order) as commented CSV or JSON,
+    to stdout or --output."""
     p = ctx.params
     if p.get("as_json"):
         config = {
@@ -188,8 +202,8 @@ def _emit(
             doc.update(extra)
         doc["rows"] = [
             {
-                field: (None if isinstance(v := getattr(row, field), float) and not math.isfinite(v) else v)
-                for field in CSV_FIELDS
+                field: (None if isinstance(v, float) and not math.isfinite(v) else v)
+                for field, v in zip(CSV_FIELDS, row)
             }
             for row in rows
         ]
@@ -206,8 +220,14 @@ def _emit(
                 buf.write(f"# {key} = {_fmt(value)}\n")
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_FIELDS)
+        heads: "dict[tuple, str]" = {}  # leading columns, rendered once per distinct value
         for row in rows:
-            writer.writerow([_fmt(getattr(row, field)) for field in CSV_FIELDS])
+            key = row[:_HEAD]
+            head = heads.get(key)
+            if head is None:
+                head = heads[key] = _csv_line(key)[:-1] + ","
+            buf.write(head)
+            writer.writerow(map(_fmt, row[_HEAD:]))
         text = buf.getvalue()
 
     output = p.get("output")
@@ -320,7 +340,7 @@ def cmd_outage(ctx: click.Context, **_kw) -> None:
         std_error=est.std_error,
         error=None,
     )
-    _emit([row], ctx, sources)
+    _emit([_fields(row)], ctx, sources)
 
 
 @main.command("sweep")
@@ -364,7 +384,7 @@ def cmd_sweep(ctx: click.Context, **_kw) -> None:
 
     rows = sweep(list(p["protocol"]), base, lib_axis, lib_values, backends,
                  str(p["convention"]))
-    _emit(rows, ctx, sources)
+    _emit([_fields(row) for row in rows], ctx, sources)
 
 
 @main.command("optimize-eta")
@@ -427,7 +447,8 @@ def cmd_optimize_eta(ctx: click.Context, **_kw) -> None:
             f"eta_star={result.eta_star!r} eps_star={result.eps_star!r} "
             f"multimodal={result.multimodal}"
         )
-    _emit(rows, ctx, sources, extra={"summaries": summaries} if p.get("as_json") else extra)
+    _emit([_fields(row) for row in rows], ctx, sources,
+          extra={"summaries": summaries} if p.get("as_json") else extra)
 
 
 @main.command("region")
@@ -471,28 +492,17 @@ def cmd_region(ctx: click.Context, **_kw) -> None:
     for msg in grid.errors:
         head, _, detail = msg.partition(": ")
         cell_errors[head] = detail
+    head = (SCHEMA_VERSION, grid.protocol.value, backend.label, grid.convention.value,
+            grid.snr.to_db(), grid.eta, float(p["beta"]), float(p["alpha"]))
     rows = []
-    for i, n in enumerate(grid.n_values):
-        for j, k in enumerate(grid.k_values):
-            success = grid.success[i][j]
-            rows.append(
-                SweepRow(
-                    protocol=grid.protocol.value,
-                    backend=backend.label,
-                    convention=grid.convention.value,
-                    snr_db=grid.snr.to_db(),
-                    eta=grid.eta,
-                    beta=float(p["beta"]),
-                    alpha=float(p["alpha"]),
-                    n_s=n,
-                    n_r=n,
-                    k=k,
-                    rate=k / n,
-                    outage=(1.0 - success) if not math.isnan(success) else math.nan,
-                    std_error=None,
-                    error=cell_errors.get(f"n={n} k={k}"),
-                )
-            )
+    for n, successes in zip(grid.n_values, grid.success):
+        for k, success in zip(grid.k_values, successes):
+            rows.append(head + (
+                n, n, k, k / n,
+                (1.0 - success) if not math.isnan(success) else math.nan,
+                None,
+                cell_errors.get(f"n={n} k={k}") if cell_errors else None,
+            ))
     _emit(rows, ctx, sources)
 
 

@@ -14,6 +14,12 @@ average is a separate, measured question (the convention report).
 Default ramp family is "zeta" — the one the single-link form integrates —
 so the two functions are mutually consistent; the "mu" family is kept
 behind a flag for cross-checking only.
+
+Each closed form is written once, against the ``cells`` objects of
+``_cells``: the public functions evaluate it at one point, and the
+protocol layer evaluates it over whole grids of cells (``rayleigh_link``,
+``pair_link``), bit for bit equal to the point values and failing per cell
+with the exception the point evaluation raises.
 """
 
 from __future__ import annotations
@@ -21,9 +27,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from ._cells import INF, POINT
 from .errors import DomainError, NumericError
-from .finite_blocklength import SnrValue, _as_snr
-from .linearization import LinConvention, RampSlope, linearize, ramp_coefficients
+from .finite_blocklength import SnrValue
+from .linearization import (
+    _RAMP_CHOICES,
+    SQRT_2PI,
+    SQRT_HALF_PI,
+    LinConvention,
+    RampSlope,
+    check_power,
+    check_request,
+    check_window,
+    linearize,  # noqa: F401  (bench/worker.py traces calls through this name)
+    ramp,
+    rate_terms,
+)
 
 #: Relative tolerance under which two branch means are treated as equal.
 TIE_TOLERANCE = 1e-9
@@ -36,6 +55,8 @@ CANCELLATION_GUARD = 1e-6
 #: Probabilities may leave [0, 1] by at most this much before it is treated
 #: as a formula/parameter bug rather than round-off.
 ROUNDOFF_SLACK = 1e-12
+
+MEAN_MESSAGE = "{} must be a positive finite mean, got {!r}"
 
 
 @dataclass(frozen=True)
@@ -55,7 +76,7 @@ class HypoexpParams:
         for name in ("omega_z", "omega_y"):
             v = getattr(self, name)
             if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
-                raise DomainError(f"{name} must be a positive finite mean, got {v!r}")
+                raise DomainError(MEAN_MESSAGE.format(name, v))
             object.__setattr__(self, name, float(v))
         tie = abs(self.omega_z - self.omega_y) <= TIE_TOLERANCE * max(
             self.omega_z, self.omega_y
@@ -83,19 +104,49 @@ def hypoexp_cdf(w: float, params: HypoexpParams) -> float:
     return 1.0 - (oz * math.exp(-w / oz) - oy * math.exp(-w / oy)) / (oz - oy)
 
 
-def _finalize(eps: float, what: str) -> float:
+def _finalize(cells, eps, what: str):
     """Clamp round-off excursions outside [0, 1]; reject anything larger."""
-    if math.isnan(eps):
-        raise NumericError(f"{what} produced NaN")
-    if eps < 0.0:
-        if eps >= -ROUNDOFF_SLACK:
-            return 0.0
-        raise NumericError(f"{what} left [0, 1]: got {eps!r}")
-    if eps > 1.0:
-        if eps <= 1.0 + ROUNDOFF_SLACK:
-            return 1.0
-        raise NumericError(f"{what} left [0, 1]: got {eps!r}")
-    return eps
+    cells.fail(eps != eps, NumericError, "{} produced NaN", what)
+    cells.fail((eps < -ROUNDOFF_SLACK) | (eps > 1.0 + ROUNDOFF_SLACK), NumericError,
+               "{} left [0, 1]: got {!r}", what, eps)
+    return cells.where(eps < 0.0, 0.0, cells.where(eps > 1.0, 1.0, eps))
+
+
+def _log_sinhc_asymptote(cells, delta):
+    # sinh(x)/x = e^x/(2x) to double precision once e^(-2x) vanishes
+    return delta - cells.each(math.log, 2.0 * delta)
+
+
+def _log_sinhc(cells, delta):
+    return cells.each(math.log, cells.div(cells.each(math.sinh, delta), delta))
+
+
+def _rayleigh(cells, terms, omega, n, rate):
+    """The single-link closed form from shared rate terms (see rayleigh_outage)."""
+    pow2m1, mu, half = terms
+    theta = pow2m1 / omega
+    check_window(cells, theta, half)
+    delta = cells.div(SQRT_HALF_PI, omega * SQRT_2PI * mu)
+    log_sinhc = cells.branch(delta > 20.0, _log_sinhc_asymptote, _log_sinhc, delta)
+    log_term = log_sinhc - theta
+    # exp would overflow; the surrogate has no meaning here
+    cells.fail(log_term > 700.0, NumericError,
+               "rayleigh_outage: surrogate average diverged (n={}, rate={}, avg_snr={!r})",
+               n, rate, omega)
+    return _finalize(cells, -cells.each(math.expm1, log_term), "rayleigh_outage")
+
+
+def rayleigh_link(cells, terms, n, rate, omega, convention: LinConvention):
+    """Single-link outage at an average SNR given as a plain float.
+
+    n and rate must be valid; ``terms`` are the shared ``rate_terms`` at
+    (n, rate), or None to compute them here, after the SNR check, in the
+    order ``linearize`` computes them.  Returns (outage, terms).
+    """
+    check_power(cells, omega)
+    if terms is None:
+        terms = rate_terms(cells, n, rate, convention)
+    return _rayleigh(cells, terms, omega, n, rate), terms
 
 
 def rayleigh_outage(
@@ -115,21 +166,29 @@ def rayleigh_outage(
     the sinh form avoids the cancellation of the raw exponential difference
     at large zeta.
     """
-    params = linearize(n, rate, avg_snr, convention)
-    delta = math.sqrt(0.5 * math.pi) / params.zeta
-    if delta > 20.0:
-        # sinh(x)/x = e^x/(2x) to double precision once e^(-2x) vanishes
-        log_sinhc = delta - math.log(2.0 * delta)
-    else:
-        log_sinhc = math.log(math.sinh(delta) / delta)
-    log_term = log_sinhc - params.theta
-    if log_term > 700.0:  # exp would overflow; the surrogate has no meaning here
-        raise NumericError(
-            "rayleigh_outage: surrogate average diverged "
-            f"(n={n}, rate={rate}, avg_snr={float(avg_snr)!r})"
-        )
-    eps = -math.expm1(log_term)
-    return _finalize(eps, "rayleigh_outage")
+    convention = LinConvention.parse(convention)
+    p = check_request(n, rate, avg_snr)
+    return _rayleigh(POINT, rate_terms(POINT, n, rate, convention), p, n, rate)
+
+
+def _exp_or_inf(x: float) -> float:
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return INF
+
+
+def _exps(cells, args, context):
+    """exp of each argument; a finite argument whose exp overflows fails the
+    cell with a NumericError naming ``context`` (n, rate, omega_z, omega_y)."""
+    values = [cells.each(_exp_or_inf, a) for a in args]
+    overflow = False
+    for a, e in zip(args, values):
+        overflow = overflow | ((e == INF) & (a < INF))
+    cells.fail(overflow, NumericError,
+               "mrc_pair_outage: exp overflowed in the surrogate average "
+               "(n={}, rate={}, omega_z={!r}, omega_y={!r})", *context)
+    return values
 
 
 def _unequal_lambdas(
@@ -148,10 +207,11 @@ def _unequal_lambdas(
     return lam1, lam2, lam3, lam4
 
 
-def _pair_outage_equal(m: float, lo: float, hi: float, theta: float, omega: float) -> float:
-    """Ramp averaged against the equal-means density (w/omega^2)e^(-w/omega)."""
-    e_lo = math.exp(-lo / omega)
-    e_hi = math.exp(-hi / omega)
+def _pair_outage_equal(cells, m, lo, hi, theta, omega_z, omega_y, n, rate):
+    """Ramp averaged against the equal-means density (w/omega^2)e^(-w/omega),
+    at the midpoint omega of the two means."""
+    omega = 0.5 * (omega_z + omega_y)
+    e_lo, e_hi = _exps(cells, (-lo / omega, -hi / omega), (n, rate, omega_z, omega_y))
     tau = hi * hi * e_hi - lo * lo * e_lo - theta * hi * e_hi + theta * lo * e_lo
     xi = hi * e_hi - lo * e_lo + omega * e_hi - omega * e_lo
     return (
@@ -165,21 +225,38 @@ def _pair_outage_equal(m: float, lo: float, hi: float, theta: float, omega: floa
     )
 
 
-def _pair_outage_unequal(
-    m: float, lo: float, hi: float, theta: float, omega_z: float, omega_y: float
-) -> float:
+def _pair_outage_unequal(cells, m, lo, hi, theta, omega_z, omega_y, n, rate):
     """Ramp averaged against the distinct-means hypoexponential density."""
     lam1, lam2, lam3, lam4 = _unequal_lambdas(m, lo, hi, theta, omega_z, omega_y)
     oz, oy = omega_z, omega_y
+    e1, e2, e3, e4 = _exps(cells, (-hi / oz, -lo / oz, -hi / oy, -lo / oy), (n, rate, oz, oy))
     bracket = (
         oz
         - oy
-        + oz * math.exp(-hi / oz) * lam1
-        + oz * math.exp(-lo / oz) * lam2
-        + oy * math.exp(-hi / oy) * lam3
-        + oy * math.exp(-lo / oy) * lam4
+        + oz * e1 * lam1
+        + oz * e2 * lam2
+        + oy * e3 * lam3
+        + oy * e4 * lam4
     )
     return bracket / (oz - oy)
+
+
+def pair_link(cells, terms, n, rate, omega_z, omega_y, ramp_slope: RampSlope = "zeta"):
+    """Combined-link outage from the shared rate terms at valid (n, rate),
+    for valid branch means given as plain floats (see mrc_pair_outage)."""
+    pow2m1, mu, half = terms
+    theta = pow2m1  # power 1: (2^rate - 1)/1
+    check_window(cells, theta, half)
+    if ramp_slope not in _RAMP_CHOICES:
+        raise DomainError(f"ramp slope must be one of {_RAMP_CHOICES}, got {ramp_slope!r}")
+    m, lo, hi = ramp(SQRT_2PI * mu if ramp_slope == "zeta" else mu, theta)
+    oz, oy = omega_z, omega_y
+    spread = abs(oz - oy) / cells.where(oz > oy, oz, oy)
+    # The difference branch divides by (oz - oy); inside the guard band
+    # evaluate the equal-means branch at the midpoint instead.
+    eps = cells.branch(spread <= CANCELLATION_GUARD, _pair_outage_equal, _pair_outage_unequal,
+                       m, lo, hi, theta, oz, oy, n, rate)
+    return _finalize(cells, eps, "mrc_pair_outage")
 
 
 def mrc_pair_outage(
@@ -198,16 +275,10 @@ def mrc_pair_outage(
     the combined link can never be worse than its stronger branch alone.
     The "mu" ramp evaluates the same algebra on the wider, shallower family
     for cross-checking; it is meaningful only while its lower breakpoint
-    stays nonnegative.
+    stays nonnegative.  An exponential that overflows double precision
+    raises NumericError.
     """
-    lin = linearize(n, rate, SnrValue(1.0), convention)
-    m, lo, hi = ramp_coefficients(lin, ramp)
-    oz, oy = params.omega_z, params.omega_y
-    spread = abs(oz - oy) / max(oz, oy)
-    if spread <= CANCELLATION_GUARD:
-        # The difference branch divides by (oz - oy); inside the guard band
-        # evaluate the equal-means branch at the midpoint instead.
-        eps = _pair_outage_equal(m, lo, hi, lin.theta, 0.5 * (oz + oy))
-    else:
-        eps = _pair_outage_unequal(m, lo, hi, lin.theta, oz, oy)
-    return _finalize(eps, "mrc_pair_outage")
+    convention = LinConvention.parse(convention)
+    check_request(n, rate, 1.0)
+    terms = rate_terms(POINT, n, rate, convention)
+    return pair_link(POINT, terms, n, rate, params.omega_z, params.omega_y, ramp)

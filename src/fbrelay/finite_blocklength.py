@@ -64,13 +64,17 @@ class SnrValue:
         return self.value
 
 
+SNR_RANGE_MESSAGE = "SNR must be a finite nonnegative ratio, got {!r}"
+SNR_ZERO_MESSAGE = "SNR must be strictly positive here"
+
+
 def _as_snr(rho: "SnrValue | float", *, positive: bool = False) -> float:
     """Normalize an SNR argument to a validated linear float."""
     v = rho.value if isinstance(rho, SnrValue) else float(rho)
     if not math.isfinite(v) or v < 0.0:
-        raise DomainError(f"SNR must be a finite nonnegative ratio, got {rho!r}")
+        raise DomainError(SNR_RANGE_MESSAGE.format(rho))
     if positive and v == 0.0:
-        raise DomainError("SNR must be strictly positive here")
+        raise DomainError(SNR_ZERO_MESSAGE)
     return v
 
 

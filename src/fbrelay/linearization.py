@@ -37,11 +37,14 @@ import math
 from dataclasses import dataclass
 from typing import Literal
 
+from ._cells import POINT
 from .errors import DomainError, NumericError
-from .finite_blocklength import SnrValue, _as_snr
+from .finite_blocklength import SNR_RANGE_MESSAGE, SNR_ZERO_MESSAGE, SnrValue, _as_snr
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 SQRT_HALF_PI = math.sqrt(0.5 * math.pi)
+_TWO_PI = 2.0 * math.pi
+_LN2 = math.log(2.0)
 
 
 class LinConvention(enum.Enum):
@@ -109,6 +112,59 @@ class LinearizationParams:
             raise DomainError("zeta must equal power * sqrt(2*pi) * mu exactly")
 
 
+def _pow2(x: float) -> float:
+    return 2.0 ** x
+
+
+def rate_terms(cells, n, rate, convention: LinConvention):
+    """The rate-only part of the surrogate: (2^rate - 1, mu, half-width).
+
+    theta = (2^rate - 1)/power, and mu and the half-width sqrt(pi/2)/mu do
+    not depend on the power at all, so every link evaluated at one
+    (n, rate) shares them.  ``cells`` is ``POINT`` or a ``Grid`` (see
+    ``_cells``); n and rate must already be valid.
+    """
+    pow2m1 = cells.each(_pow2, rate) - 1.0
+    if convention is LinConvention.NATS:
+        spread = cells.each(math.expm1, 2.0 * rate)  # e^(2R) - 1
+    else:
+        spread = cells.each(math.expm1, 2.0 * rate * _LN2)  # 2^(2R) - 1
+    mu = cells.sqrt(n / _TWO_PI) / cells.sqrt(spread)
+    return pow2m1, mu, SQRT_HALF_PI / mu
+
+
+def check_power(cells, power) -> None:
+    """The power checks of ``linearize``, for powers given as plain floats."""
+    cells.fail((power != power) | (power < 0.0) | (power == math.inf), DomainError,
+               SNR_RANGE_MESSAGE, power)
+    cells.fail(power == 0.0, DomainError, SNR_ZERO_MESSAGE)
+
+
+def check_window(cells, theta, half) -> None:
+    """Fail where the ramp window is narrower than one ulp of the threshold:
+    the surrogate cannot be represented at this scale, which is a numeric
+    breakdown of a well-formed request, not a bad input."""
+    cells.fail((theta - half == theta) | (theta + half == theta), NumericError,
+               "ramp window collapsed: half-width {!r} is absorbed by "
+               "threshold {!r} in double precision", half, theta)
+
+
+def ramp(coeff, theta):
+    """(slope m, lower breakpoint, upper breakpoint) of the ramp whose slope
+    coefficient is ``coeff`` (zeta or mu); m * half-width = 1/2."""
+    half = SQRT_HALF_PI / coeff
+    return coeff / SQRT_2PI, theta - half, theta + half
+
+
+def check_request(n, rate, power) -> float:
+    """Validate one (n, rate, power) request; returns the linear power."""
+    if n < 1:
+        raise DomainError(f"blocklength must be >= 1, got {n!r}")
+    if not (rate > 0.0) or not math.isfinite(rate):
+        raise DomainError(f"rate must be a positive finite number, got {rate!r}")
+    return _as_snr(power, positive=True)
+
+
 def linearize(
     n: int,
     rate: float,
@@ -123,27 +179,10 @@ def linearize(
     SNR to work in the unit-mean channel-gain domain (single links).
     """
     convention = LinConvention.parse(convention)
-    if n < 1:
-        raise DomainError(f"blocklength must be >= 1, got {n!r}")
-    if not (rate > 0.0) or not math.isfinite(rate):
-        raise DomainError(f"rate must be a positive finite number, got {rate!r}")
-    p = _as_snr(power, positive=True)
-
-    theta = (2.0 ** rate - 1.0) / p
-    if convention is LinConvention.NATS:
-        spread = math.expm1(2.0 * rate)  # e^(2R) - 1
-    else:
-        spread = math.expm1(2.0 * rate * math.log(2.0))  # 2^(2R) - 1
-    mu = math.sqrt(n / (2.0 * math.pi)) / math.sqrt(spread)
-    half = SQRT_HALF_PI / mu
-    if theta - half == theta or theta + half == theta:
-        # the ramp window is narrower than one ulp of the threshold; the
-        # surrogate cannot be represented at this scale, which is a numeric
-        # breakdown of a well-formed request, not a bad input
-        raise NumericError(
-            f"ramp window collapsed: half-width {half!r} is absorbed by "
-            f"threshold {theta!r} in double precision"
-        )
+    p = check_request(n, rate, power)
+    pow2m1, mu, half = rate_terms(POINT, n, rate, convention)
+    theta = pow2m1 / p
+    check_window(POINT, theta, half)
     return LinearizationParams(
         theta=theta,
         mu=mu,
@@ -167,10 +206,7 @@ def ramp_coefficients(
     """
     if slope not in _RAMP_CHOICES:
         raise DomainError(f"ramp slope must be one of {_RAMP_CHOICES}, got {slope!r}")
-    coeff = params.zeta if slope == "zeta" else params.mu
-    m = coeff / SQRT_2PI
-    half = SQRT_HALF_PI / coeff
-    return m, params.theta - half, params.theta + half
+    return ramp(params.zeta if slope == "zeta" else params.mu, params.theta)
 
 
 def ramp_eval(t: float, params: LinearizationParams, slope: RampSlope = "zeta") -> float:

@@ -22,7 +22,10 @@ Compositions of per-link outages:
 
 Every composition is available through three backends — closed form,
 true-tail quadrature, and seeded Monte Carlo — so each number can always be
-cross-examined by a slower, independent one.
+cross-examined by a slower, independent one.  The closed form is composed
+once, over ``_cells`` objects: ``protocol_outage`` evaluates it at one
+topology and ``closed_outages`` over a whole ``TopologyCells`` batch, with
+the same values bit for bit and the same failure per cell.
 """
 
 from __future__ import annotations
@@ -31,7 +34,17 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .closed_form import HypoexpParams, mrc_pair_outage, rayleigh_outage
+import numpy as np
+
+from ._cells import INF, POINT, Grid
+from .closed_form import (
+    MEAN_MESSAGE,
+    HypoexpParams,
+    mrc_pair_outage,
+    pair_link,
+    rayleigh_link,
+    rayleigh_outage,
+)
 from .errors import DomainError
 from .finite_blocklength import RateSpec, SnrValue, _as_snr
 from .linearization import LinConvention
@@ -46,6 +59,12 @@ from .oracles import (
 #: Per-link sampling streams: the Monte Carlo backend gives each link its
 #: own generator family so composed estimates use independent draws.
 _STREAM_SD, _STREAM_SR, _STREAM_RD, _STREAM_SRD = 0, 1, 2, 3
+
+_MIXED_FRAMING = (
+    "closed-form combined-branch outage is defined only for equal hop "
+    "blocklengths; got n_s={}, n_r={} — use the quadrature "
+    "or Monte Carlo backend for mixed framing"
+)
 
 
 class ProtocolKind(enum.Enum):
@@ -106,6 +125,18 @@ class Backend:
         return self.kind.value
 
 
+def _omega_sd(total_snr, eta):
+    return eta * total_snr  # d_sd = 1, so no distance gain
+
+
+def _omega_sr(total_snr, eta, beta, alpha):
+    return eta * total_snr * beta ** -alpha
+
+
+def _omega_rd(total_snr, eta, beta, alpha):
+    return (1.0 - eta) * total_snr * (1.0 - beta) ** -alpha
+
+
 @dataclass(frozen=True)
 class TopologyConfig:
     """One relay topology: SNR budget, power split, relay position, framing.
@@ -152,19 +183,59 @@ class TopologyConfig:
 
     @property
     def omega_sd(self) -> float:
-        return self.eta * self.total_snr.value  # d_sd = 1, so no distance gain
+        return _omega_sd(self.total_snr.value, self.eta)
 
     @property
     def omega_sr(self) -> float:
-        return self.eta * self.total_snr.value * self.beta ** -self.path_loss_exp
+        return _omega_sr(self.total_snr.value, self.eta, self.beta, self.path_loss_exp)
 
     @property
     def omega_rd(self) -> float:
-        return (1.0 - self.eta) * self.total_snr.value * (1.0 - self.beta) ** -self.path_loss_exp
+        return _omega_rd(self.total_snr.value, self.eta, self.beta, self.path_loss_exp)
 
     @property
     def relay_silent(self) -> bool:
         return self.omega_rd == 0.0
+
+
+class TopologyCells:
+    """A batch of topologies as columns, one entry per cell.
+
+    Each keyword replaces the matching field of ``base`` by an array (``n``
+    sets both hop blocklengths); beta and path_loss_exp stay the base's.
+    The attributes mirror TopologyConfig's: n_s, n_r, rate_s, rate_r,
+    total_snr (linear) and the link SNRs, computed by the same expressions.
+    The path-loss power in omega_sr and omega_rd can overflow; ``raised``
+    keeps that exception under the SNR's name, and every cell fails with it
+    at the step where the per-topology evaluation reads that SNR.  Integer
+    columns must stay below 2**53, where numpy's k / n equals Python's.
+    """
+
+    def __init__(self, base: TopologyConfig, *, total_snr=None, eta=None, n=None, k=None):
+        given = [c for c in (total_snr, eta, n, k) if c is not None]
+        self.size = len(given[0]) if given else 1
+
+        def column(values, default, dtype):
+            values = default if values is None else values
+            return np.broadcast_to(np.asarray(values, dtype=dtype), (self.size,))
+
+        snr = column(total_snr, base.total_snr.value, float)
+        share = column(eta, base.eta, float)
+        self.n_s = column(n, base.n_s, np.int64)
+        self.n_r = column(n, base.n_r, np.int64)
+        k = column(k, base.k, np.int64)
+        self.rate_s = k / self.n_s
+        self.rate_r = k / self.n_r
+        self.total_snr = snr
+        self.omega_sd = _omega_sd(snr, share)
+        self.raised: "dict[str, ArithmeticError]" = {}
+        for name, omega in (("omega_sr", _omega_sr), ("omega_rd", _omega_rd)):
+            try:
+                value = omega(snr, share, base.beta, base.path_loss_exp)
+            except ArithmeticError as exc:
+                self.raised[name] = exc
+                value = np.full(self.size, np.nan)
+            setattr(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -224,11 +295,7 @@ def _pair_link(
     pair = HypoexpParams(cfg.omega_sd, cfg.omega_rd)
     if backend.kind is BackendKind.CLOSED_FORM:
         if cfg.n_s != cfg.n_r:
-            raise DomainError(
-                "closed-form combined-branch outage is defined only for equal hop "
-                f"blocklengths; got n_s={cfg.n_s}, n_r={cfg.n_r} — use the quadrature "
-                "or Monte Carlo backend for mixed framing"
-            )
+            raise DomainError(_MIXED_FRAMING.format(cfg.n_s, cfg.n_r))
         value = mrc_pair_outage(cfg.n_s, cfg.rate_s, pair, convention)
         return OutageEstimate(value=value, method=EstimateMethod.CLOSED_FORM)
     if backend.kind is BackendKind.QUAD_TRUE_Q:
@@ -276,6 +343,84 @@ def _se(estimate: OutageEstimate) -> float:
     return estimate.std_error or 0.0
 
 
+def _compose(protocol: ProtocolKind, sd, sr, rd, srd):
+    """Protocol outage from link outages (DF, SC, MRC; floats or arrays)."""
+    if protocol is ProtocolKind.DF:
+        return sr + (1.0 - sr) * rd
+    if protocol is ProtocolKind.SC:
+        return sd * sr + (1.0 - sr) * sd * rd
+    return sd * sr + (1.0 - sr) * srd
+
+
+def _silent_pair(cells, sd, *_):
+    return sd  # continuity: with the relay silent the combined link is the direct one
+
+
+def _pair_stage(cells, sd, omega_sd, omega_rd, n_s, n_r, rate_s, pow2m1, mu, half):
+    for name, omega in (("omega_z", omega_sd), ("omega_y", omega_rd)):
+        cells.fail((omega != omega) | (omega <= 0.0) | (omega == INF), DomainError,
+                   MEAN_MESSAGE, name, omega)
+    cells.fail(n_s != n_r, DomainError, _MIXED_FRAMING, n_s, n_r)
+    return pair_link(cells, (pow2m1, mu, half), n_s, rate_s, omega_sd, omega_rd)
+
+
+def _silent_hop(cells, *_):
+    return 1.0  # a silent relay's forward hop is a certain outage
+
+
+def _hop_stage(cells, n_r, rate_r, omega_rd, pow2m1, mu, half, convention):
+    terms = None if pow2m1 is None else (pow2m1, mu, half)
+    return rayleigh_link(cells, terms, n_r, rate_r, omega_rd, convention)[0]
+
+
+def _closed_outage(cells, protocol: ProtocolKind, t, total_snr, convention: LinConvention):
+    """Closed-form outage of one scheme over ``cells``.
+
+    ``t`` is a TopologyConfig (``cells`` is POINT) or a TopologyCells batch
+    (``cells`` is a Grid).  Links are evaluated, checked and skipped in the
+    order of the per-link backends, and the links at (n_s, rate_s) share
+    one set of rate terms.
+    """
+    if protocol is ProtocolKind.DT:
+        return rayleigh_link(cells, None, t.n_s, t.rate_s, total_snr, convention)[0]
+    n_s, rate_s = t.n_s, t.rate_s
+    sr, terms = rayleigh_link(cells, None, n_s, rate_s, cells.take(t, "omega_sr"), convention)
+    sd = omega_sd = None
+    if protocol is not ProtocolKind.DF:
+        omega_sd = t.omega_sd
+        sd, _ = rayleigh_link(cells, terms, n_s, rate_s, omega_sd, convention)
+    omega_rd = cells.take(t, "omega_rd")
+    silent = omega_rd == 0.0
+    if protocol is ProtocolKind.MRC:
+        srd = cells.branch(silent, _silent_pair, _pair_stage,
+                           sd, omega_sd, omega_rd, n_s, t.n_r, rate_s, *terms)
+        value = _compose(protocol, sd, sr, None, srd)
+    else:
+        shared = terms if cells.same(t.n_r, n_s) else (None, None, None)
+        rd = cells.branch(silent, _silent_hop, _hop_stage,
+                          t.n_r, t.rate_r, omega_rd, *shared, convention)
+        value = _compose(protocol, sd, sr, rd, None)
+    return cells.where(value < 0.0, 0.0, cells.where(value > 1.0, 1.0, value))
+
+
+def closed_outages(
+    protocol: "ProtocolKind | str",
+    cells: TopologyCells,
+    convention: "LinConvention | str" = LinConvention.NATS,
+) -> "tuple[np.ndarray, dict[int, Exception]]":
+    """Closed-form outage of one scheme over a batch of topologies.
+
+    Returns the outage per cell, equal bit for bit to ``protocol_outage``
+    with the closed backend, with NaN where that call raises; and, for each
+    such cell, the exception it raises.
+    """
+    grid = Grid(cells.size)
+    with np.errstate(all="ignore"):
+        value = _closed_outage(grid, ProtocolKind.parse(protocol), cells, cells.total_snr,
+                               LinConvention.parse(convention))
+    return np.where(grid.alive, value, np.nan), grid.failures
+
+
 def protocol_outage(
     protocol: "ProtocolKind | str",
     cfg: TopologyConfig,
@@ -293,6 +438,10 @@ def protocol_outage(
     protocol = ProtocolKind.parse(protocol)
     convention = LinConvention.parse(convention)
 
+    if backend.kind is BackendKind.CLOSED_FORM:
+        value = _closed_outage(POINT, protocol, cfg, cfg.total_snr.value, convention)
+        return OutageEstimate(value=value, method=EstimateMethod.CLOSED_FORM)
+
     if protocol is ProtocolKind.DT:
         omega = cfg.total_snr.value  # full budget, relay idle
         return _single_link(backend, convention, cfg.n_s, cfg.rate_s, omega, _STREAM_SD)
@@ -307,7 +456,7 @@ def protocol_outage(
 
     if protocol is ProtocolKind.MRC:
         srd = sd if cfg.relay_silent else _pair_link(backend, convention, cfg)
-        value = sd.value * sr.value + (1.0 - sr.value) * srd.value
+        value = _compose(protocol, sd.value, sr.value, None, srd.value)
         grads = (
             (sd, sr.value),
             (sr, sd.value - srd.value),
@@ -326,11 +475,10 @@ def protocol_outage(
             rd = _single_link(
                 backend, convention, cfg.n_r, cfg.rate_r, cfg.omega_rd, _STREAM_RD
             )
+        value = _compose(protocol, None if sd is None else sd.value, sr.value, rd.value, None)
         if protocol is ProtocolKind.DF:
-            value = sr.value + (1.0 - sr.value) * rd.value
             grads = ((sr, 1.0 - rd.value), (rd, 1.0 - sr.value))
         else:  # SC
-            value = sd.value * sr.value + (1.0 - sr.value) * sd.value * rd.value
             grads = (
                 (sd, sr.value + (1.0 - sr.value) * rd.value),
                 (sr, sd.value * (1.0 - rd.value)),
@@ -347,12 +495,7 @@ def protocol_outage(
             trials=backend.trials,
             seed=backend.seed,
         )
-    method = (
-        EstimateMethod.CLOSED_FORM
-        if backend.kind is BackendKind.CLOSED_FORM
-        else EstimateMethod.QUAD_TRUE_Q
-    )
-    return OutageEstimate(value=value, method=method)
+    return OutageEstimate(value=value, method=EstimateMethod.QUAD_TRUE_Q)
 
 
 def dt_outage(cfg, backend, convention=LinConvention.NATS) -> float:

@@ -199,6 +199,17 @@ class TestReliabilityRegion:
         for j in range(2):
             assert tuned.success[0][j] >= fixed.success[0][j] - 1e-12
 
+    def test_overflowing_cell_is_reported_not_raised(self):
+        # eta near 1 leaves the relay branch 1e5 times weaker; at n = 20 the
+        # combined link's exponential overflows for k = 80, not for k = 60
+        with pytest.warns(UserWarning, match="n=20"):
+            grid = reliability_region("mrc", TEN_DB, [20], [60, 80], Backend.closed_form(),
+                                      eta=0.99999, allow_short=True)
+        ok, bad = grid.success[0]
+        assert 0.0 <= ok <= 1.0 and math.isnan(bad)
+        (message,) = grid.errors
+        assert message.startswith("n=20 k=80: mrc_pair_outage: exp overflowed")
+
     def test_validation_of_the_grid_dataclass(self):
         from fbrelay import LinConvention
 

@@ -113,6 +113,14 @@ class TestOutage:
         assert result.exit_code == 3
         assert "NumericError" in result.output
 
+    def test_exp_overflow_exits_3(self, runner):
+        with pytest.warns(UserWarning, match="n=20"):
+            result = runner.invoke(main, ["outage", "--protocol", "mrc", "--snr-db", "10",
+                                          "--eta", "0.99999", "--alpha", "0", "--n", "20",
+                                          "--k", "80", "--allow-short"])
+        assert result.exit_code == 3
+        assert "NumericError: mrc_pair_outage: exp overflowed" in result.output
+
     def test_mc_backend_round_trips_exactly(self, runner):
         args = ["outage", "--protocol", "df", "--backend", "mc",
                 "--trials", "1e5", "--seed", "42"]

@@ -147,6 +147,13 @@ class TestMrcPairOutage:
         assert 0.0 <= mu <= 1.0
         assert mu != zeta
 
+    @pytest.mark.parametrize("pair", [(0.005, 7e-7), (7e-7, 7e-7)], ids=["unequal", "equal"])
+    def test_exp_overflow_is_a_numeric_error(self, pair):
+        # a negative lower breakpoint over a tiny branch mean: exp(-lo/omega)
+        # overflows double precision in either density branch
+        with pytest.raises(NumericError, match="exp overflowed"):
+            mrc_pair_outage(100, 0.01, HypoexpParams(*pair))
+
     def test_monotone_in_either_mean(self):
         vals = [mrc_pair_outage(500, 0.5, HypoexpParams(10.0, oy)) for oy in (1.0, 2.5, 10.0, 40.0)]
         assert all(b < a for a, b in zip(vals, vals[1:]))
