@@ -1,0 +1,90 @@
+#!/usr/bin/env python3
+"""Record the CLI's output, byte for byte, as a regression fixture.
+
+Runs a fixed set of ``fbrelay`` invocations in-process through click's test
+runner, each in an empty working directory, and writes per invocation its
+argv, exit code, stdout and, where it writes one, the ``--output`` file to
+``tests/data/cli_fixture.json``:
+
+* ``outage`` for every protocol, as commented CSV and as JSON, on the
+  closed backend;
+* ``outage`` on the quadrature and Monte Carlo backends;
+* ``sweep`` as JSON and as CSV with a refused cell;
+* ``optimize-eta`` as JSON and as CSV;
+* a small ``region`` map written to a CSV file, with refused cells;
+* ``validate``, and one malformed request (exit code 2, empty stdout).
+
+``tests/test_cli_fixture.py`` replays the recorded argv and compares all
+three outputs exactly.  Regenerating the file from a later commit records
+that commit's output, so do so only on purpose, from the repository root:
+
+    python3 scripts/cli_fixture.py
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from click.testing import CliRunner  # noqa: E402
+
+from fbrelay.cli import main as fbrelay  # noqa: E402
+
+#: The file that ``--output`` names, relative to the invocation's directory.
+OUTPUT = "table.csv"
+
+CASES = [
+    *((f"outage_{p}_csv", ["outage", "--protocol", p]) for p in ("dt", "df", "sc", "mrc")),
+    *((f"outage_{p}_json", ["outage", "--protocol", p, "--json", "--snr-db", "6",
+                            "--beta", "0.3", "--alpha", "2"]) for p in ("dt", "df", "sc", "mrc")),
+    ("outage_quad", ["outage", "--backend", "quad"]),
+    ("outage_quad_mixed_json", ["outage", "--backend", "quad", "--n-relay", "300", "--json"]),
+    ("outage_mc_json", ["outage", "--backend", "mc", "--protocol", "sc", "--trials", "20000",
+                        "--seed", "5", "--json"]),
+    ("sweep_json", ["sweep", "--json", "--axis", "eta", "--start", "0.1", "--stop", "1",
+                    "--points", "10", "--n", "300", "--k", "150"]),
+    ("sweep_csv", ["sweep", "--axis", "blocklength", "--start", "50", "--stop", "500",
+                   "--points", "4"]),
+    ("optimize_eta_json", ["optimize-eta", "--json", "--snr-db", "8", "--beta", "0.4",
+                           "--alpha", "2"]),
+    ("optimize_eta_csv", ["optimize-eta", "--protocol", "sc", "--protocol", "mrc"]),
+    ("region_csv", ["region", "--protocol", "sc", "--k-min", "10", "--k-max", "200",
+                    "--k-step", "10", "--n-min", "50", "--n-max", "400", "--n-step", "50",
+                    "--output", OUTPUT]),
+    ("validate", ["validate"]),
+    ("usage_error", ["outage", "--eta", "2"]),
+]
+
+
+def run_case(argv: "list[str]") -> "tuple[int, bytes, bytes | None]":
+    """(exit code, stdout, --output file contents or None) of one invocation."""
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        result = runner.invoke(fbrelay, argv, prog_name="fbrelay")
+        path = Path(OUTPUT)
+        written = path.read_bytes() if path.exists() else None
+    return result.exit_code, result.stdout_bytes, written
+
+
+def main() -> None:
+    cases = []
+    for name, argv in CASES:
+        code, stdout, written = run_case(argv)
+        cases.append({
+            "name": name,
+            "argv": argv,
+            "exit_code": code,
+            "stdout": stdout.decode("utf-8"),
+            "output_file": None if written is None else written.decode("utf-8"),
+        })
+    path = ROOT / "tests" / "data" / "cli_fixture.json"
+    path.write_text(json.dumps({"cases": cases}, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {path.relative_to(ROOT)} ({len(cases)} invocations)")
+
+
+if __name__ == "__main__":
+    main()

@@ -40,15 +40,7 @@ from .closed_form import (
     mrc_pair_outage,
     rayleigh_outage,
 )
-from .oracles import (
-    EstimateMethod,
-    ExponentialDensity,
-    OutageEstimate,
-    fading_outage_mc,
-    fading_outage_quadrature,
-    fading_outage_quadrature_fixed,
-    linearized_outage_quadrature,
-)
+from ._estimates import EstimateMethod, ExponentialDensity, OutageEstimate
 from .protocols import (
     Backend,
     BackendKind,
@@ -72,6 +64,29 @@ from .analysis import (
 )
 
 __version__ = "0.1.0"
+
+#: Served by ``__getattr__``: the oracles load scipy, which ``import fbrelay``
+#: and closed-form work do not need.
+_ORACLES = frozenset({
+    "fading_outage_mc",
+    "fading_outage_quadrature",
+    "fading_outage_quadrature_fixed",
+    "linearized_outage_quadrature",
+})
+
+
+def __getattr__(name: str):
+    if name not in _ORACLES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import oracles
+
+    value = globals()[name] = getattr(oracles, name)
+    return value
+
+
+def __dir__() -> "list[str]":
+    return sorted(globals().keys() | _ORACLES)
+
 
 __all__ = [
     "Backend",

@@ -14,9 +14,8 @@ and a grid (``Grid``):
   once; a grid records the exception against every live cell in ``mask``
   and drops those cells from every later step.  A grid cell therefore
   fails exactly where, and with exactly the exception, that the point
-  evaluation of the same inputs raises.  Arithmetic errors that Python
-  raises (``OverflowError`` from ``math``, division by zero) are recorded
-  the same way.
+  evaluation of the same inputs raises.  Arithmetic errors that ``math``
+  raises (``OverflowError``) are recorded the same way.
 * ``branch(cond, if_true, if_false, *args)`` evaluates each side on its own
   cells only.
 
@@ -58,10 +57,6 @@ class _Point:
     @staticmethod
     def where(cond, a, b):
         return a if cond else b
-
-    @staticmethod
-    def div(a, b):
-        return a / b
 
     @staticmethod
     def same(a, b) -> bool:
@@ -136,10 +131,6 @@ class Grid:
     @staticmethod
     def where(cond, a, b) -> np.ndarray:
         return np.where(cond, a, b)
-
-    def div(self, a, b) -> np.ndarray:
-        self.fail(b == 0.0, ZeroDivisionError, "float division by zero")
-        return a / b
 
     @staticmethod
     def same(a, b) -> bool:

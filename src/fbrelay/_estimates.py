@@ -1,0 +1,93 @@
+"""The oracle layer's value types, importable without the oracles.
+
+``OutageEstimate``, ``EstimateMethod`` and ``ExponentialDensity`` are what
+every backend returns and accepts.  They live here, apart from
+``oracles``, because the oracles load scipy, which closed-form work never
+needs.  The layers above call the oracles through ``lazy_binding``
+stand-ins, so a closed-form run imports neither.
+"""
+
+from __future__ import annotations
+
+import enum
+import importlib
+import math
+from dataclasses import dataclass
+
+from .errors import DomainError, NumericError
+
+
+def lazy_binding(namespace: dict, module: str, name: str):
+    """A stand-in for ``module.name``, to be bound as ``name`` in ``namespace``.
+
+    Its first call imports ``module`` and rebinds ``namespace[name]`` to the
+    real function, so later calls reach it directly at no extra cost.  If
+    the name has been rebound meanwhile (a tracer or a test wrapping it),
+    the stand-in forwards the call and leaves that binding alone.
+    """
+
+    def stand_in(*args, **kwargs):
+        real = getattr(importlib.import_module(module), name)
+        if namespace.get(name) is stand_in:
+            namespace[name] = real
+        return real(*args, **kwargs)
+
+    stand_in.__name__ = stand_in.__qualname__ = name
+    stand_in.__doc__ = f"``{module}.{name}``, imported on first call."
+    return stand_in
+
+
+class EstimateMethod(enum.Enum):
+    CLOSED_FORM = "closed_form"
+    QUAD_TRUE_Q = "quad_true_q"
+    QUAD_LINEARIZED = "quad_linearized"
+    MONTE_CARLO = "monte_carlo"
+
+
+@dataclass(frozen=True)
+class OutageEstimate:
+    """A probability plus the method that produced it.
+
+    std_error, trials and seed are present exactly when the method is
+    MONTE_CARLO.
+    """
+
+    value: float
+    method: EstimateMethod
+    std_error: "float | None" = None
+    trials: "int | None" = None
+    seed: "int | None" = None
+
+    def __post_init__(self) -> None:
+        if not (0.0 <= self.value <= 1.0):
+            raise NumericError(f"estimate {self.value!r} lies outside [0, 1]")
+        is_mc = self.method is EstimateMethod.MONTE_CARLO
+        if is_mc:
+            if self.std_error is None or self.trials is None or self.seed is None:
+                raise DomainError("Monte Carlo estimates must carry std_error, trials and seed")
+            if not (0.0 <= self.std_error <= 0.5):
+                raise NumericError(f"std_error {self.std_error!r} outside [0, 0.5]")
+        elif self.std_error is not None or self.trials is not None or self.seed is not None:
+            raise DomainError(f"{self.method.value} estimates carry no sampling metadata")
+
+
+@dataclass(frozen=True)
+class ExponentialDensity:
+    """Exponential SNR density with the given mean (one Rayleigh link)."""
+
+    mean: float
+
+    def __post_init__(self) -> None:
+        if not (isinstance(self.mean, (int, float)) and math.isfinite(self.mean) and self.mean > 0):
+            raise DomainError(f"exponential mean must be positive and finite, got {self.mean!r}")
+        object.__setattr__(self, "mean", float(self.mean))
+
+    def pdf(self, w: float) -> float:
+        if w < 0.0:
+            raise DomainError(f"exponential support is [0, inf), got {w!r}")
+        return math.exp(-w / self.mean) / self.mean
+
+    def cdf(self, w: float) -> float:
+        if w < 0.0:
+            raise DomainError(f"exponential support is [0, inf), got {w!r}")
+        return -math.expm1(-w / self.mean)

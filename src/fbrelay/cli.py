@@ -31,6 +31,7 @@ import click
 from click.core import ParameterSource
 
 from . import __version__
+from ._estimates import ExponentialDensity, lazy_binding
 from .analysis import (
     SCHEMA_VERSION,
     SweepRow,
@@ -42,12 +43,13 @@ from .closed_form import HypoexpParams, mrc_pair_outage, rayleigh_outage
 from .errors import DomainError, NumericError
 from .finite_blocklength import SnrValue
 from .linearization import LinConvention, linearize
-from .oracles import (
-    ExponentialDensity,
-    fading_outage_mc,
-    linearized_outage_quadrature,
-)
 from .protocols import Backend, ProtocolKind, TopologyConfig, protocol_outage
+
+# Only ``validate`` calls the oracles, which load scipy.
+fading_outage_mc = lazy_binding(globals(), "fbrelay.oracles", "fading_outage_mc")
+linearized_outage_quadrature = lazy_binding(
+    globals(), "fbrelay.oracles", "linearized_outage_quadrature"
+)
 
 CSV_FIELDS = (
     "schema_version",

@@ -118,7 +118,7 @@ def _log_sinhc_asymptote(cells, delta):
 
 
 def _log_sinhc(cells, delta):
-    return cells.each(math.log, cells.div(cells.each(math.sinh, delta), delta))
+    return cells.each(math.log, cells.each(math.sinh, delta) / delta)
 
 
 def _rayleigh(cells, terms, omega, n, rate):
@@ -126,7 +126,13 @@ def _rayleigh(cells, terms, omega, n, rate):
     pow2m1, mu, half = terms
     theta = pow2m1 / omega
     check_window(cells, theta, half)
-    delta = cells.div(SQRT_HALF_PI, omega * SQRT_2PI * mu)
+    zeta = omega * SQRT_2PI * mu
+    # At a huge average SNR zeta overflows, which would make delta 0.  It
+    # cannot underflow to 0 once the window and the rate terms are sound.
+    cells.fail(zeta == INF, NumericError,
+               "rayleigh_outage: ramp slope zeta overflowed double precision "
+               "(n={}, rate={}, avg_snr={!r})", n, rate, omega)
+    delta = SQRT_HALF_PI / zeta
     log_sinhc = cells.branch(delta > 20.0, _log_sinhc_asymptote, _log_sinhc, delta)
     log_term = log_sinhc - theta
     # exp would overflow; the surrogate has no meaning here

@@ -21,12 +21,16 @@ import math
 import warnings
 from dataclasses import dataclass, field
 
-from scipy.special import erfc, ndtri
-
+from ._estimates import lazy_binding
 from .errors import DomainError
 
 LOG2_E = math.log2(math.e)
 LN2 = math.log(2.0)
+
+# scipy.special costs most of a closed-form process's start and only the
+# functions below need it, so each ufunc is imported on its first call.
+erfc = lazy_binding(globals(), "scipy.special", "erfc")
+ndtri = lazy_binding(globals(), "scipy.special", "ndtri")
 
 #: Blocklengths below this make the normal approximation unreliable;
 #: RateSpec refuses them unless explicitly overridden.

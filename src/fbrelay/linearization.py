@@ -113,7 +113,17 @@ class LinearizationParams:
 
 
 def _pow2(x: float) -> float:
-    return 2.0 ** x
+    try:
+        return 2.0 ** x
+    except OverflowError:
+        return math.inf
+
+
+def _expm1(x: float) -> float:
+    try:
+        return math.expm1(x)
+    except OverflowError:
+        return math.inf
 
 
 def rate_terms(cells, n, rate, convention: LinConvention):
@@ -122,13 +132,16 @@ def rate_terms(cells, n, rate, convention: LinConvention):
     theta = (2^rate - 1)/power, and mu and the half-width sqrt(pi/2)/mu do
     not depend on the power at all, so every link evaluated at one
     (n, rate) shares them.  ``cells`` is ``POINT`` or a ``Grid`` (see
-    ``_cells``); n and rate must already be valid.
+    ``_cells``); n and rate must already be valid.  Rates of a few hundred
+    bits per use overflow these terms, which fails the cell.
     """
     pow2m1 = cells.each(_pow2, rate) - 1.0
     if convention is LinConvention.NATS:
-        spread = cells.each(math.expm1, 2.0 * rate)  # e^(2R) - 1
+        spread = cells.each(_expm1, 2.0 * rate)  # e^(2R) - 1
     else:
-        spread = cells.each(math.expm1, 2.0 * rate * _LN2)  # 2^(2R) - 1
+        spread = cells.each(_expm1, 2.0 * rate * _LN2)  # 2^(2R) - 1
+    cells.fail((pow2m1 == math.inf) | (spread == math.inf), NumericError,
+               "surrogate rate terms overflowed double precision (n={}, rate={!r})", n, rate)
     mu = cells.sqrt(n / _TWO_PI) / cells.sqrt(spread)
     return pow2m1, mu, SQRT_HALF_PI / mu
 

@@ -31,21 +31,23 @@ Monte Carlo reproducibility contract: the estimate is a pure function of
 generator keyed by (seed, stream, partition index), and partial sums are
 combined in partition order, so the result is bit-identical regardless of
 how many threads actually ran.
+
+The value types (OutageEstimate, EstimateMethod, ExponentialDensity) are
+defined in ``_estimates``, which does not load scipy, and re-exported here.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erfc
 
+from ._estimates import EstimateMethod, ExponentialDensity, OutageEstimate
 from .closed_form import HypoexpParams, hypoexp_cdf, hypoexp_pdf
-from .errors import ConvergenceError, DomainError, NumericError
+from .errors import ConvergenceError, DomainError
 from .finite_blocklength import LN2, SnrValue, outage_given_snr
 from .linearization import LinearizationParams, RampSlope, ramp_coefficients
 
@@ -120,62 +122,6 @@ _START_PANELS = 8
 _PANEL_LIMIT = 400
 
 _MIN_TRIALS = 10_000
-
-
-class EstimateMethod(enum.Enum):
-    CLOSED_FORM = "closed_form"
-    QUAD_TRUE_Q = "quad_true_q"
-    QUAD_LINEARIZED = "quad_linearized"
-    MONTE_CARLO = "monte_carlo"
-
-
-@dataclass(frozen=True)
-class OutageEstimate:
-    """A probability plus the method that produced it.
-
-    std_error, trials and seed are present exactly when the method is
-    MONTE_CARLO.
-    """
-
-    value: float
-    method: EstimateMethod
-    std_error: "float | None" = None
-    trials: "int | None" = None
-    seed: "int | None" = None
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.value <= 1.0):
-            raise NumericError(f"estimate {self.value!r} lies outside [0, 1]")
-        is_mc = self.method is EstimateMethod.MONTE_CARLO
-        if is_mc:
-            if self.std_error is None or self.trials is None or self.seed is None:
-                raise DomainError("Monte Carlo estimates must carry std_error, trials and seed")
-            if not (0.0 <= self.std_error <= 0.5):
-                raise NumericError(f"std_error {self.std_error!r} outside [0, 0.5]")
-        elif self.std_error is not None or self.trials is not None or self.seed is not None:
-            raise DomainError(f"{self.method.value} estimates carry no sampling metadata")
-
-
-@dataclass(frozen=True)
-class ExponentialDensity:
-    """Exponential SNR density with the given mean (one Rayleigh link)."""
-
-    mean: float
-
-    def __post_init__(self) -> None:
-        if not (isinstance(self.mean, (int, float)) and math.isfinite(self.mean) and self.mean > 0):
-            raise DomainError(f"exponential mean must be positive and finite, got {self.mean!r}")
-        object.__setattr__(self, "mean", float(self.mean))
-
-    def pdf(self, w: float) -> float:
-        if w < 0.0:
-            raise DomainError(f"exponential support is [0, inf), got {w!r}")
-        return math.exp(-w / self.mean) / self.mean
-
-    def cdf(self, w: float) -> float:
-        if w < 0.0:
-            raise DomainError(f"exponential support is [0, inf), got {w!r}")
-        return -math.expm1(-w / self.mean)
 
 
 #: Channel descriptions accepted by the oracle backends: a single Rayleigh
@@ -334,6 +280,9 @@ def fading_outage_quadrature_fixed(
     Composite Gauss-Legendre on the same axis splits, with a deterministic
     panel layout and no adaptivity — an independent scheme used to pin
     regression constants (two schemes agreeing is the freeze criterion).
+    A combined link's density rises from 0 on the scale of its weaker
+    branch's mean, which can be far below a panel's width, so that rise
+    gets a cut interval of its own.
     """
     if panels < 1 or order < 2:
         raise DomainError(f"need panels >= 1 and order >= 2, got {panels!r}, {order!r}")
@@ -342,6 +291,10 @@ def fading_outage_quadrature_fixed(
     if isinstance(density, ExponentialDensity):
         pdf = density.pdf
     else:
+        rise = 50.0 * min(density.omega_z, density.omega_y)
+        if cuts[0] < rise < cuts[-1]:
+            cuts = sorted(cuts + [rise])
+
         def pdf(x: float) -> float:
             return hypoexp_pdf(x, density)
 

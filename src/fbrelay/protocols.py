@@ -37,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._cells import INF, POINT, Grid
+from ._estimates import EstimateMethod, ExponentialDensity, OutageEstimate, lazy_binding
 from .closed_form import (
     MEAN_MESSAGE,
     HypoexpParams,
@@ -45,16 +46,13 @@ from .closed_form import (
     rayleigh_link,
     rayleigh_outage,
 )
-from .errors import DomainError
+from .errors import DomainError, NumericError
 from .finite_blocklength import RateSpec, SnrValue, _as_snr
 from .linearization import LinConvention
-from .oracles import (
-    EstimateMethod,
-    ExponentialDensity,
-    OutageEstimate,
-    fading_outage_mc,
-    fading_outage_quadrature,
-)
+
+# The oracles load scipy; the closed backend never calls them.
+fading_outage_mc = lazy_binding(globals(), "fbrelay.oracles", "fading_outage_mc")
+fading_outage_quadrature = lazy_binding(globals(), "fbrelay.oracles", "fading_outage_quadrature")
 
 #: Per-link sampling streams: the Monte Carlo backend gives each link its
 #: own generator family so composed estimates use independent draws.
@@ -129,12 +127,23 @@ def _omega_sd(total_snr, eta):
     return eta * total_snr  # d_sd = 1, so no distance gain
 
 
+_GAIN_OVERFLOW = "{}: path-loss gain {!r} ** -{!r} overflows double precision"
+
+
 def _omega_sr(total_snr, eta, beta, alpha):
-    return eta * total_snr * beta ** -alpha
+    try:
+        gain = beta ** -alpha
+    except OverflowError:
+        raise NumericError(_GAIN_OVERFLOW.format("omega_sr", beta, alpha)) from None
+    return eta * total_snr * gain
 
 
 def _omega_rd(total_snr, eta, beta, alpha):
-    return (1.0 - eta) * total_snr * (1.0 - beta) ** -alpha
+    try:
+        gain = (1.0 - beta) ** -alpha
+    except OverflowError:
+        raise NumericError(_GAIN_OVERFLOW.format("omega_rd", 1.0 - beta, alpha)) from None
+    return (1.0 - eta) * total_snr * gain
 
 
 @dataclass(frozen=True)
@@ -205,9 +214,9 @@ class TopologyCells:
     sets both hop blocklengths); beta and path_loss_exp stay the base's.
     The attributes mirror TopologyConfig's: n_s, n_r, rate_s, rate_r,
     total_snr (linear) and the link SNRs, computed by the same expressions.
-    The path-loss power in omega_sr and omega_rd can overflow; ``raised``
-    keeps that exception under the SNR's name, and every cell fails with it
-    at the step where the per-topology evaluation reads that SNR.  Integer
+    The path-loss gain in omega_sr and omega_rd can overflow; ``raised``
+    keeps that NumericError under the SNR's name, and every cell fails with
+    it at the step where the per-topology evaluation reads that SNR.  Integer
     columns must stay below 2**53, where numpy's k / n equals Python's.
     """
 
@@ -228,11 +237,11 @@ class TopologyCells:
         self.rate_r = k / self.n_r
         self.total_snr = snr
         self.omega_sd = _omega_sd(snr, share)
-        self.raised: "dict[str, ArithmeticError]" = {}
+        self.raised: "dict[str, NumericError]" = {}
         for name, omega in (("omega_sr", _omega_sr), ("omega_rd", _omega_rd)):
             try:
                 value = omega(snr, share, base.beta, base.path_loss_exp)
-            except ArithmeticError as exc:
+            except NumericError as exc:
                 self.raised[name] = exc
                 value = np.full(self.size, np.nan)
             setattr(self, name, value)

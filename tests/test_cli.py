@@ -314,3 +314,60 @@ class TestGroupPlumbing:
             timeout=120, check=True,
         )
         assert done.stdout.strip() == "[]"
+
+    def test_closed_form_work_leaves_scipy_unloaded(self):
+        # The oracles and scipy load on the first quadrature or Monte Carlo
+        # call; importing the package and the closed-form commands need neither.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(fbrelay.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        probe = (
+            "import json, sys\n"
+            "def heavy():\n"
+            "    return sorted(m for m in sys.modules\n"
+            "                  if m.startswith('scipy') or m == 'fbrelay.oracles')\n"
+            "seen = {}\n"
+            "import fbrelay\n"
+            "seen['import fbrelay'] = heavy()\n"
+            "import fbrelay.cli\n"
+            "from click.testing import CliRunner\n"
+            "seen['import fbrelay.cli'] = heavy()\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    result = CliRunner().invoke(fbrelay.cli.main, argv)\n"
+            "    seen[' '.join(argv)] = [result.exit_code, heavy()]\n"
+            "print(json.dumps(seen))\n"
+        )
+        closed = [
+            ["outage"],
+            ["sweep", "--start", "0", "--stop", "10", "--points", "3"],
+            ["optimize-eta", "--json"],
+            ["region", "--k-min", "10", "--k-max", "50", "--k-step", "10",
+             "--n-min", "100", "--n-max", "200", "--n-step", "50"],
+        ]
+        oracle = [["outage", "--backend", "quad"], ["validate"]]
+        done = subprocess.run(
+            [sys.executable, "-c", probe, json.dumps(closed + oracle)], env=env,
+            capture_output=True, text=True, timeout=120, check=True,
+        )
+        seen = json.loads(done.stdout)
+        assert seen.pop("import fbrelay") == []
+        assert seen.pop("import fbrelay.cli") == []
+        for argv in closed:
+            assert seen.pop(" ".join(argv)) == [0, []], argv
+        for argv in oracle:
+            code, heavy = seen.pop(" ".join(argv))
+            assert code == 0 and "scipy.special" in heavy and "fbrelay.oracles" in heavy
+
+    def test_oracle_names_resolve_on_access(self):
+        import fbrelay.oracles
+
+        names = ("fading_outage_mc", "fading_outage_quadrature",
+                 "fading_outage_quadrature_fixed", "linearized_outage_quadrature")
+        for name in names:
+            assert name in fbrelay.__all__ and name in dir(fbrelay)
+            assert getattr(fbrelay, name) is getattr(fbrelay.oracles, name)
+        namespace = {}
+        exec("from fbrelay import *", namespace)
+        assert set(fbrelay.__all__) <= namespace.keys() and len(fbrelay.__all__) == 52
+        with pytest.raises(AttributeError):
+            fbrelay.no_such_name  # noqa: B018

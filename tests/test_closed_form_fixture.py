@@ -253,3 +253,55 @@ class TestErrorParity:
             f"blocklength n={n} < 100: normal-approximation accuracy is not guaranteed"
             for n in short
         }
+
+
+class TestArithmeticEscapes:
+    """Inputs where the point path used to raise a bare ZeroDivisionError or
+    OverflowError now raise NumericError, and a batch records the same
+    message against the cell.  No fixture cell reaches these inputs."""
+
+    @pytest.mark.parametrize("n,rate,snr,conv,message", [
+        # zeta overflows at a huge SNR, which made delta 0
+        (500, 0.5, 1e308, "nats", "rayleigh_outage: ramp slope zeta overflowed double "
+                                  "precision (n=500, rate=0.5, avg_snr=1e+308)"),
+        # expm1(2R) overflows above about 355 bits per use, 2^R at 1024
+        (1, 400.0, 10.0, "nats", "surrogate rate terms overflowed double precision "
+                                 "(n=1, rate=400.0)"),
+        (1, 2000.0, 10.0, "bits", "surrogate rate terms overflowed double precision "
+                                  "(n=1, rate=2000.0)"),
+    ])
+    def test_single_link(self, n, rate, snr, conv, message):
+        with pytest.raises(NumericError) as point:
+            rayleigh_outage(n, rate, snr, conv)
+        assert str(point.value) == message
+        # the failing cell between two good ones
+        cells = Grid(3)
+        with np.errstate(all="ignore"):
+            eps, _ = rayleigh_link(cells, None, np.array([500, n, 500]),
+                                   np.array([0.5, rate, 0.5]), np.array([10.0, snr, 10.0]),
+                                   LinConvention.parse(conv))
+        assert list(cells.failures) == [1]
+        assert type(cells.failures[1]) is NumericError and str(cells.failures[1]) == message
+        assert eps[0] == eps[2] == rayleigh_outage(500, 0.5, 10.0, conv)
+
+    def test_combined_link_rate_terms(self):
+        with pytest.raises(NumericError, match="surrogate rate terms overflowed"):
+            mrc_pair_outage(100, 400.0, HypoexpParams(10.0, 2.5))
+
+    @pytest.mark.parametrize("protocol", ["dt", "df", "sc", "mrc"])
+    def test_path_gain_overflow(self, protocol):
+        # 0.5 ** -2000 overflows; direct transmission never reads that gain
+        kwargs = dict(eta=0.5, beta=0.5, path_loss_exp=2000.0)
+        cfg = TopologyConfig(total_snr=SnrValue(10.0), n_s=100, n_r=100, k=10, **kwargs)
+        grid = reliability_region(protocol, SnrValue(10.0), [100], [10], CLOSED, **kwargs)
+        if protocol == "dt":
+            assert grid.errors == ()
+            assert grid.success[0][0] == 1.0 - protocol_outage(protocol, cfg, CLOSED).value
+            return
+        message = "omega_sr: path-loss gain 0.5 ** -2000.0 overflows double precision"
+        for backend in (CLOSED, Backend.quadrature()):
+            with pytest.raises(NumericError) as point:
+                protocol_outage(protocol, cfg, backend)
+            assert str(point.value) == message
+        assert grid.errors == (f"n=100 k=10: {message}",)
+        assert math.isnan(grid.success[0][0])

@@ -188,17 +188,26 @@ class TestTrueTailQuadrature:
                 fixed = fading_outage_quadrature_fixed(n, rate, channel)
                 assert fixed == pytest.approx(adaptive, abs=5e-14)
 
+    # The weaker branch's density rises on the scale of its mean, far inside
+    # the first cut interval.  References are 30-digit mpmath quadratures
+    # with breakpoints on that scale.
+    SEPARATED_MEANS = (
+        ((200, 0.05, 0.01, 1e-6), 0.93964183705228577544),
+        ((500, 0.5, 0.05, 1e-5), 0.99964882560855235886),
+        ((1000, 0.3, 0.02, 4e-6), 0.99998358741431054955),
+    )
+
     def test_widely_separated_branch_means(self):
-        # the weaker branch's density rises on the scale of its mean, far
-        # inside the first cut interval; references are 30-digit mpmath
-        # quadratures with breakpoints on that scale
-        for (n, rate, oz, oy), truth in (
-            ((200, 0.05, 0.01, 1e-6), 0.93964183705228577544),
-            ((500, 0.5, 0.05, 1e-5), 0.99964882560855235886),
-            ((1000, 0.3, 0.02, 4e-6), 0.99998358741431054955),
-        ):
+        for (n, rate, oz, oy), truth in self.SEPARATED_MEANS:
             est = fading_outage_quadrature(n, rate, HypoexpParams(oz, oy))
             assert est.value == pytest.approx(truth, abs=1e-10)
+
+    def test_fixed_rule_at_widely_separated_branch_means(self):
+        # without a cut at the weaker branch's scale the fixed rule read
+        # 0.99972978 at (500, 0.5, (0.05, 1e-5)), off by 8e-5
+        for (n, rate, oz, oy), truth in self.SEPARATED_MEANS:
+            fixed = fading_outage_quadrature_fixed(n, rate, HypoexpParams(oz, oy))
+            assert fixed == pytest.approx(truth, abs=1e-13)
 
     def test_method_tag(self):
         est = fading_outage_quadrature(500, 0.5, 10.0)

@@ -23,6 +23,8 @@ from fbrelay import (
     rayleigh_outage,
     sc_outage,
 )
+from fbrelay import protocols
+from fbrelay._estimates import lazy_binding
 
 TEN_DB = SnrValue.from_db(10.0)
 
@@ -241,6 +243,46 @@ class TestMonteCarloProtocols:
         est = protocol_outage("mrc", cfg(), Backend.monte_carlo(100_000, 42))
         bound = sum(x.std_error for x in (links.sd, links.sr, links.srd))
         assert 0.0 < est.std_error <= bound
+
+
+class TestLazyOracleBindings:
+    """The oracle names the protocol layer calls import the oracles on first
+    use, and a wrapper bound over them (a tracer's, a test's) sees every call."""
+
+    def test_stand_in_rebinds_itself_on_first_call(self):
+        namespace = {}
+        namespace["sqrt"] = stand_in = lazy_binding(namespace, "math", "sqrt")
+        assert stand_in(4.0) == 2.0
+        assert namespace["sqrt"] is math.sqrt
+
+    def test_stand_in_leaves_a_wrapper_bound(self):
+        namespace = {}
+        stand_in = lazy_binding(namespace, "math", "sqrt")
+
+        def wrapper(x):
+            return stand_in(x)
+
+        namespace["sqrt"] = wrapper
+        assert wrapper(9.0) == 3.0
+        assert namespace["sqrt"] is wrapper
+
+    @pytest.mark.parametrize("backend,name", [
+        (Backend.quadrature(), "fading_outage_quadrature"),
+        (Backend.monte_carlo(20_000, 7), "fading_outage_mc"),
+    ])
+    def test_wrapped_oracle_sees_every_link(self, monkeypatch, backend, name):
+        inner = getattr(protocols, name)
+        calls = []
+
+        def wrapper(*args, **kwargs):
+            calls.append(args[:2])
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(protocols, name, wrapper)
+        for _ in range(2):
+            protocol_outage("mrc", cfg(), backend)
+        assert len(calls) == 6  # direct, broadcast and combined links, twice
+        assert getattr(protocols, name) is wrapper
 
 
 @settings(max_examples=25, deadline=None)
