@@ -26,7 +26,6 @@ from .finite_blocklength import (
 from .linearization import (
     LinConvention,
     LinearizationParams,
-    k_eval,
     linearize,
     ramp_coefficients,
     ramp_eval,
@@ -47,12 +46,8 @@ from .protocols import (
     LinkOutages,
     ProtocolKind,
     TopologyConfig,
-    df_outage,
-    dt_outage,
     link_outages,
-    mrc_outage,
     protocol_outage,
-    sc_outage,
 )
 from .analysis import (
     EtaOptimum,
@@ -115,19 +110,15 @@ __all__ = [
     "TopologyConfig",
     "awgn_outage",
     "channel_dispersion",
-    "df_outage",
-    "dt_outage",
     "fading_outage_mc",
     "fading_outage_quadrature",
     "fading_outage_quadrature_fixed",
     "hypoexp_cdf",
     "hypoexp_pdf",
-    "k_eval",
     "linearize",
     "linearized_outage_quadrature",
     "link_outages",
     "max_coding_rate",
-    "mrc_outage",
     "mrc_pair_outage",
     "optimize_eta",
     "outage_given_snr",
@@ -138,7 +129,6 @@ __all__ = [
     "ramp_eval",
     "rayleigh_outage",
     "reliability_region",
-    "sc_outage",
     "shannon_capacity",
     "sweep",
 ]

@@ -84,6 +84,35 @@ class SweepRow:
     error: "str | None"
     schema_version: int = SCHEMA_VERSION
 
+    @classmethod
+    def from_cell(
+        cls,
+        protocol: ProtocolKind,
+        cfg: TopologyConfig,
+        backend: Backend,
+        convention: LinConvention,
+        outage: float,
+        std_error: "float | None" = None,
+        error: "str | None" = None,
+    ) -> "SweepRow":
+        """The row of one evaluated configuration."""
+        return cls(
+            protocol=protocol.value,
+            backend=backend.label,
+            convention=convention.value,
+            snr_db=cfg.total_snr.to_db(),
+            eta=cfg.eta,
+            beta=cfg.beta,
+            alpha=cfg.path_loss_exp,
+            n_s=cfg.n_s,
+            n_r=cfg.n_r,
+            k=cfg.k,
+            rate=cfg.rate_s,
+            outage=outage,
+            std_error=std_error,
+            error=error,
+        )
+
 
 @dataclass(frozen=True)
 class EtaOptimum:
@@ -143,12 +172,12 @@ def _evaluate(
     cfg: TopologyConfig,
     backend: Backend,
     convention: LinConvention,
-) -> "tuple[float, float | None, str | None]":
-    """(outage, std_error, error) for one cell, never raising package errors."""
+) -> "tuple[float, float | None, FbrelayError | None]":
+    """(outage, std_error, package error) for one cell, never raising one."""
     try:
         est = protocol_outage(protocol, cfg, backend, convention)
     except FbrelayError as exc:
-        return math.nan, None, str(exc)
+        return math.nan, None, exc
     return est.value, est.std_error, None
 
 
@@ -158,37 +187,6 @@ def _message(exc: Exception) -> str:
     if not isinstance(exc, FbrelayError):
         raise exc
     return str(exc)
-
-
-def _outcome(value: float, exc: "Exception | None") -> "tuple[float, None, str | None]":
-    """_evaluate's triple for a closed-form batch cell."""
-    return (value, None, None) if exc is None else (math.nan, None, _message(exc))
-
-
-def _row(
-    protocol: ProtocolKind,
-    cfg: TopologyConfig,
-    backend: Backend,
-    convention: LinConvention,
-    outcome: "tuple[float, float | None, str | None]",
-) -> SweepRow:
-    outage, std_error, error = outcome
-    return SweepRow(
-        protocol=protocol.value,
-        backend=backend.label,
-        convention=convention.value,
-        snr_db=cfg.total_snr.to_db(),
-        eta=cfg.eta,
-        beta=cfg.beta,
-        alpha=cfg.path_loss_exp,
-        n_s=cfg.n_s,
-        n_r=cfg.n_r,
-        k=cfg.k,
-        rate=cfg.rate_s,
-        outage=outage,
-        std_error=std_error,
-        error=error,
-    )
 
 
 def _as_protocols(protocols) -> "tuple[ProtocolKind, ...]":
@@ -280,16 +278,19 @@ def sweep(
         if cfg is None:
             for kind in kinds:
                 for backend in bends:
-                    rows.append(_row(kind, base, backend, convention, (math.nan, None, msg)))
+                    rows.append(SweepRow.from_cell(kind, base, backend, convention, math.nan,
+                                                   error=msg))
             continue
         for kind in kinds:
             for backend in bends:
                 if backend.kind is BackendKind.CLOSED_FORM and kind in closed:
-                    outage, failures = closed[kind]
-                    outcome = _outcome(outage[j], failures.get(j))
+                    outage, failures = closed[kind]  # NaN where a cell failed
+                    value, std_error, exc = outage[j], None, failures.get(j)
                 else:
-                    outcome = _evaluate(kind, cfg, backend, convention)
-                rows.append(_row(kind, cfg, backend, convention, outcome))
+                    value, std_error, exc = _evaluate(kind, cfg, backend, convention)
+                error = None if exc is None else _message(exc)
+                rows.append(SweepRow.from_cell(kind, cfg, backend, convention, value, std_error,
+                                               error))
         j += 1
     return rows
 

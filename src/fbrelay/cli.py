@@ -22,6 +22,7 @@ Exit codes: 0 success, 1 validation found disagreement, 2 malformed input,
 from __future__ import annotations
 
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -326,22 +327,7 @@ def cmd_outage(ctx: click.Context, **_kw) -> None:
     convention = LinConvention.parse(str(p["convention"]))
     # one-shot evaluation surfaces failures as exit codes, not NaN rows
     est = protocol_outage(protocol, cfg, backend, convention)
-    row = SweepRow(
-        protocol=protocol.value,
-        backend=backend.label,
-        convention=convention.value,
-        snr_db=cfg.total_snr.to_db(),
-        eta=cfg.eta,
-        beta=cfg.beta,
-        alpha=cfg.path_loss_exp,
-        n_s=cfg.n_s,
-        n_r=cfg.n_r,
-        k=cfg.k,
-        rate=cfg.rate_s,
-        outage=est.value,
-        std_error=est.std_error,
-        error=None,
-    )
+    row = SweepRow.from_cell(protocol, cfg, backend, convention, est.value, est.std_error)
     _emit([_fields(row)], ctx, sources)
 
 
@@ -405,25 +391,11 @@ def cmd_optimize_eta(ctx: click.Context, **_kw) -> None:
     p = ctx.params
     cfg = _build_topology(p)
     backend = _build_backend(str(p["backend"]), p)
-    convention = str(p["convention"])
+    convention = LinConvention.parse(str(p["convention"]))
 
     def as_row(protocol: ProtocolKind, eta: float, eps: float) -> SweepRow:
-        return SweepRow(
-            protocol=protocol.value,
-            backend=backend.label,
-            convention=convention,
-            snr_db=cfg.total_snr.to_db(),
-            eta=eta,
-            beta=cfg.beta,
-            alpha=cfg.path_loss_exp,
-            n_s=cfg.n_s,
-            n_r=cfg.n_r,
-            k=cfg.k,
-            rate=cfg.rate_s,
-            outage=eps,
-            std_error=None,
-            error=None,
-        )
+        return dataclasses.replace(SweepRow.from_cell(protocol, cfg, backend, convention, eps),
+                                   eta=eta)
 
     rows: "list[SweepRow]" = []
     summaries: "list[dict[str, object]]" = []

@@ -25,7 +25,7 @@ Two independent knobs are kept explicit rather than silently resolved:
   sqrt(pi/2)/zeta (the family the closed forms in closed_form.py integrate
   exactly, and the one consistent with the tangent construction in every
   integration domain); "mu" uses slope mu/sqrt(2*pi) with half-width
-  sqrt(pi/2)/mu, which is what k_eval evaluates.  The stored breakpoints
+  sqrt(pi/2)/mu, the surrogate in its defining form.  The stored breakpoints
   rho_lo/rho_hi are the "mu" family's; the "zeta" breakpoints are derived
   on demand.  The two coincide only when power*sqrt(2*pi) = 1.
 """
@@ -67,8 +67,8 @@ class LinConvention(enum.Enum):
 
 
 #: Which coefficient supplies the ramp slope: the power-scaled "zeta" family
-#: (default; matches the closed forms) or the plain "mu" family (the k_eval
-#: contract, kept for cross-checks).
+#: (default; matches the closed forms) or the plain "mu" family (the
+#: surrogate in its defining form, kept for cross-checks).
 RampSlope = Literal["zeta", "mu"]
 
 _RAMP_CHOICES = ("zeta", "mu")
@@ -231,9 +231,3 @@ def ramp_eval(t: float, params: LinearizationParams, slope: RampSlope = "zeta") 
         return 0.0
     return 0.5 - m * (t - params.theta)
 
-
-def k_eval(t: float, params: LinearizationParams) -> float:
-    """The surrogate in its defining form: slope mu/sqrt(2*pi), the stored
-    breakpoints.  Returns 1 below rho_lo, 0 above rho_hi, and the linear
-    segment 1/2 - (mu/sqrt(2*pi))*(t - theta) between them."""
-    return ramp_eval(t, params, "mu")

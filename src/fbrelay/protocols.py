@@ -22,10 +22,12 @@ Compositions of per-link outages:
 
 Every composition is available through three backends — closed form,
 true-tail quadrature, and seeded Monte Carlo — so each number can always be
-cross-examined by a slower, independent one.  The closed form is composed
-once, over ``_cells`` objects: ``protocol_outage`` evaluates it at one
-topology and ``closed_outages`` over a whole ``TopologyCells`` batch, with
-the same values bit for bit and the same failure per cell.
+cross-examined by a slower, independent one.  One table holds each
+composition and its partial derivatives (for the Monte Carlo std_error),
+and one evaluator reads a scheme's links; a backend supplies only its link
+stage: the closed-form kernels over ``_cells`` objects, or the oracles at
+one point.  ``closed_outages`` evaluates a whole ``TopologyCells`` batch in
+closed form, bit for bit as ``protocol_outage`` and failing per cell.
 """
 
 from __future__ import annotations
@@ -41,10 +43,10 @@ from ._estimates import EstimateMethod, ExponentialDensity, OutageEstimate, lazy
 from .closed_form import (
     MEAN_MESSAGE,
     HypoexpParams,
-    mrc_pair_outage,
+    mrc_pair_outage,  # noqa: F401  (bench/worker.py traces calls through this name)
     pair_link,
     rayleigh_link,
-    rayleigh_outage,
+    rayleigh_outage,  # noqa: F401  (bench/worker.py traces calls through this name)
 )
 from .errors import DomainError, NumericError
 from .finite_blocklength import RateSpec, SnrValue, _as_snr
@@ -273,50 +275,161 @@ class LinkOutages:
         return self.srd.value
 
 
-def _single_link(
-    backend: Backend,
-    convention: LinConvention,
-    n: int,
-    rate: float,
-    omega: float,
-    stream: int,
-) -> OutageEstimate:
-    if backend.kind is BackendKind.CLOSED_FORM:
-        value = rayleigh_outage(n, rate, omega, convention)
-        return OutageEstimate(value=value, method=EstimateMethod.CLOSED_FORM)
-    if backend.kind is BackendKind.QUAD_TRUE_Q:
-        return fading_outage_quadrature(n, rate, ExponentialDensity(omega))
-    return fading_outage_mc(
-        n, rate, ExponentialDensity(omega), backend.trials, backend.seed, stream=stream
-    )
+#: Per scheme: the links it reads, in the order they are evaluated and
+#: checked; its outage as a function of those link outages; and the partial
+#: derivative in each link, in the order the delta method sums them.  The
+#: partials are written out: differencing the composition would not
+#: reproduce them bit for bit.  DT reads the direct link alone, at the full
+#: budget, and keeps that link's own std_error.
+_SCHEMES = {
+    ProtocolKind.DT: (("sd",), lambda sd: sd, {}),
+    ProtocolKind.DF: (
+        ("sr", "rd"),
+        lambda sr, rd: sr + (1.0 - sr) * rd,
+        {"sr": lambda sr, rd: 1.0 - rd,
+         "rd": lambda sr, rd: 1.0 - sr},
+    ),
+    ProtocolKind.SC: (
+        ("sr", "sd", "rd"),
+        lambda sd, sr, rd: sd * sr + (1.0 - sr) * sd * rd,
+        {"sd": lambda sd, sr, rd: sr + (1.0 - sr) * rd,
+         "sr": lambda sd, sr, rd: sd * (1.0 - rd),
+         "rd": lambda sd, sr, rd: sd * (1.0 - sr)},
+    ),
+    ProtocolKind.MRC: (
+        ("sr", "sd", "srd"),
+        lambda sd, sr, srd: sd * sr + (1.0 - sr) * srd,
+        {"sd": lambda sd, sr, srd: sr,
+         "sr": lambda sd, sr, srd: sd - srd,
+         "srd": lambda sd, sr, srd: 1.0 - sr},
+    ),
+}
 
 
-def _pair_link(
-    backend: Backend,
-    convention: LinConvention,
-    cfg: TopologyConfig,
-) -> OutageEstimate:
-    # The combined-branch decode is framed by the source codeword: the relayed
-    # copy contributes SNR, not extra channel uses, so (n_s, k/n_s) governs.
-    # The closed form was derived for matched hops only and refuses anything
-    # else; the integral and sampling backends accept the mixed case under
-    # the source-framing reading.
-    pair = HypoexpParams(cfg.omega_sd, cfg.omega_rd)
-    if backend.kind is BackendKind.CLOSED_FORM:
-        if cfg.n_s != cfg.n_r:
-            raise DomainError(_MIXED_FRAMING.format(cfg.n_s, cfg.n_r))
-        value = mrc_pair_outage(cfg.n_s, cfg.rate_s, pair, convention)
+def _compose(cells, compose, links):
+    """A scheme's outage from its link outages, clipped to [0, 1]."""
+    value = compose(**links)
+    return cells.where(value < 0.0, 0.0, cells.where(value > 1.0, 1.0, value))
+
+
+def _silent_pair(cells, sd, *_):
+    return sd  # continuity: with the relay silent the combined link is the direct one
+
+
+def _hop(cells, stage, n_r, rate_r, omega_rd, pow2m1, mu, half):
+    terms = None if pow2m1 is None else (pow2m1, mu, half)
+    return stage.link(cells, terms, n_r, rate_r, omega_rd, _STREAM_RD)[0]
+
+
+class _ClosedLinks:
+    """The closed form's link stage: the kernels, at POINT or over a Grid."""
+
+    def __init__(self, convention: LinConvention) -> None:
+        self.convention = convention
+
+    def link(self, cells, terms, n, rate, omega, _stream):
+        return rayleigh_link(cells, terms, n, rate, omega, self.convention)
+
+    @staticmethod
+    def silent_hop(cells, *_):
+        return 1.0  # a silent relay's forward hop is a certain outage
+
+    @staticmethod
+    def pair(cells, _sd, omega_sd, omega_rd, n_s, n_r, rate_s, pow2m1, mu, half):
+        for name, omega in (("omega_z", omega_sd), ("omega_y", omega_rd)):
+            cells.fail((omega != omega) | (omega <= 0.0) | (omega == INF), DomainError,
+                       MEAN_MESSAGE, name, omega)
+        cells.fail(n_s != n_r, DomainError, _MIXED_FRAMING, n_s, n_r)
+        return pair_link(cells, (pow2m1, mu, half), n_s, rate_s, omega_sd, omega_rd)
+
+    @staticmethod
+    def outage(compose, _partials, links) -> OutageEstimate:
+        value = _compose(POINT, compose, links)
         return OutageEstimate(value=value, method=EstimateMethod.CLOSED_FORM)
-    if backend.kind is BackendKind.QUAD_TRUE_Q:
-        return fading_outage_quadrature(cfg.n_s, cfg.rate_s, pair)
-    return fading_outage_mc(
-        cfg.n_s,
-        cfg.rate_s,
-        pair,
-        backend.trials,
-        backend.seed,
-        stream=_STREAM_SRD,
-    )
+
+
+class _OracleLinks:
+    """The quadrature or Monte Carlo link stage, at POINT only.  Links come
+    back as estimates; a composition's std_error follows by the delta method."""
+
+    def __init__(self, backend: Backend) -> None:
+        self.backend = backend
+
+    def _oracle(self, n, rate, channel, stream) -> OutageEstimate:
+        b = self.backend
+        if b.kind is BackendKind.QUAD_TRUE_Q:
+            return fading_outage_quadrature(n, rate, channel)
+        return fading_outage_mc(n, rate, channel, b.trials, b.seed, stream=stream)
+
+    def link(self, cells, _terms, n, rate, omega, stream):
+        return self._oracle(n, rate, ExponentialDensity(omega), stream), (None, None, None)
+
+    def silent_hop(self, cells, *_):
+        b = self.backend
+        if b.kind is BackendKind.QUAD_TRUE_Q:
+            return OutageEstimate(value=1.0, method=EstimateMethod.QUAD_TRUE_Q)
+        return OutageEstimate(value=1.0, method=EstimateMethod.MONTE_CARLO, std_error=0.0,
+                              trials=b.trials, seed=b.seed)
+
+    def pair(self, cells, _sd, omega_sd, omega_rd, n_s, _n_r, rate_s, *_):
+        # The combined-branch decode is framed by the source codeword: the
+        # relayed copy contributes SNR, not channel uses, so (n_s, k/n_s)
+        # governs, mixed framing included.
+        return self._oracle(n_s, rate_s, HypoexpParams(omega_sd, omega_rd), _STREAM_SRD)
+
+    def outage(self, compose, partials, links) -> OutageEstimate:
+        if len(links) == 1:
+            return links["sd"]  # DT: one link, which is its own estimate
+        values = {name: est.value for name, est in links.items()}
+        value = _compose(POINT, compose, values)
+        b = self.backend
+        if b.kind is BackendKind.QUAD_TRUE_Q:
+            return OutageEstimate(value=value, method=EstimateMethod.QUAD_TRUE_Q)
+        var = sum((partial(**values) * (links[name].std_error or 0.0)) ** 2
+                  for name, partial in partials.items())
+        return OutageEstimate(value=value, method=EstimateMethod.MONTE_CARLO,
+                              std_error=min(math.sqrt(var), 0.5), trials=b.trials, seed=b.seed)
+
+
+def _link_stage(backend: Backend, convention: LinConvention):
+    if backend.kind is BackendKind.CLOSED_FORM:
+        return _ClosedLinks(convention)
+    return _OracleLinks(backend)
+
+
+def _links(cells, reads: "tuple[str, ...]", t, total_snr, stage) -> dict:
+    """The outage of each link named in ``reads``, by name.
+
+    ``t`` is a TopologyConfig (``cells`` is POINT) or a TopologyCells batch
+    (``cells`` is a Grid, and ``stage`` closed).  sd and sr are evaluated
+    in the order of ``reads``, then rd or srd; each link is checked where
+    it is evaluated.  The links at (n_s, rate_s) share one set of rate
+    terms.  Without a relay link (DT) the source has the full budget.  With
+    a silent relay (eta = 1) the forward hop is a certain outage and the
+    combined link is the direct one, by continuity.
+    """
+    n_s, rate_s = t.n_s, t.rate_s
+    direct_only = len(reads) == 1
+    omega_sd = total_snr if direct_only else t.omega_sd
+    links, terms = {}, None
+    for name in reads:
+        if name == "sd":
+            links[name], terms = stage.link(cells, terms, n_s, rate_s, omega_sd, _STREAM_SD)
+        elif name == "sr":
+            omega_sr = cells.take(t, "omega_sr")
+            links[name], terms = stage.link(cells, terms, n_s, rate_s, omega_sr, _STREAM_SR)
+    if direct_only:
+        return links
+    omega_rd = cells.take(t, "omega_rd")
+    silent = omega_rd == 0.0
+    if "rd" in reads:
+        shared = terms if cells.same(t.n_r, n_s) else (None, None, None)
+        links["rd"] = cells.branch(silent, stage.silent_hop, _hop,
+                                   stage, t.n_r, t.rate_r, omega_rd, *shared)
+    if "srd" in reads:
+        links["srd"] = cells.branch(silent, _silent_pair, stage.pair, links["sd"],
+                                    omega_sd, omega_rd, n_s, t.n_r, rate_s, *terms)
+    return links
 
 
 def link_outages(
@@ -324,92 +437,14 @@ def link_outages(
     backend: Backend,
     convention: "LinConvention | str" = LinConvention.NATS,
 ) -> LinkOutages:
-    """Evaluate all four constituent links of one topology.
-
-    With a silent relay (eta = 1) the forward hop is a certain outage and
-    the combined link degenerates to the direct one — by the continuity
-    rule, not by evaluating a zero-SNR density.
-    """
-    convention = LinConvention.parse(convention)
-    sd = _single_link(backend, convention, cfg.n_s, cfg.rate_s, cfg.omega_sd, _STREAM_SD)
-    sr = _single_link(backend, convention, cfg.n_s, cfg.rate_s, cfg.omega_sr, _STREAM_SR)
-    if cfg.relay_silent:
-        rd = OutageEstimate(
-            value=1.0,
-            method=sd.method,
-            std_error=0.0 if sd.method is EstimateMethod.MONTE_CARLO else None,
-            trials=sd.trials,
-            seed=sd.seed,
-        )
-        srd = sd
-    else:
-        rd = _single_link(backend, convention, cfg.n_r, cfg.rate_r, cfg.omega_rd, _STREAM_RD)
-        srd = _pair_link(backend, convention, cfg)
-    return LinkOutages(sd=sd, sr=sr, rd=rd, srd=srd)
-
-
-def _se(estimate: OutageEstimate) -> float:
-    return estimate.std_error or 0.0
-
-
-def _compose(protocol: ProtocolKind, sd, sr, rd, srd):
-    """Protocol outage from link outages (DF, SC, MRC; floats or arrays)."""
-    if protocol is ProtocolKind.DF:
-        return sr + (1.0 - sr) * rd
-    if protocol is ProtocolKind.SC:
-        return sd * sr + (1.0 - sr) * sd * rd
-    return sd * sr + (1.0 - sr) * srd
-
-
-def _silent_pair(cells, sd, *_):
-    return sd  # continuity: with the relay silent the combined link is the direct one
-
-
-def _pair_stage(cells, sd, omega_sd, omega_rd, n_s, n_r, rate_s, pow2m1, mu, half):
-    for name, omega in (("omega_z", omega_sd), ("omega_y", omega_rd)):
-        cells.fail((omega != omega) | (omega <= 0.0) | (omega == INF), DomainError,
-                   MEAN_MESSAGE, name, omega)
-    cells.fail(n_s != n_r, DomainError, _MIXED_FRAMING, n_s, n_r)
-    return pair_link(cells, (pow2m1, mu, half), n_s, rate_s, omega_sd, omega_rd)
-
-
-def _silent_hop(cells, *_):
-    return 1.0  # a silent relay's forward hop is a certain outage
-
-
-def _hop_stage(cells, n_r, rate_r, omega_rd, pow2m1, mu, half, convention):
-    terms = None if pow2m1 is None else (pow2m1, mu, half)
-    return rayleigh_link(cells, terms, n_r, rate_r, omega_rd, convention)[0]
-
-
-def _closed_outage(cells, protocol: ProtocolKind, t, total_snr, convention: LinConvention):
-    """Closed-form outage of one scheme over ``cells``.
-
-    ``t`` is a TopologyConfig (``cells`` is POINT) or a TopologyCells batch
-    (``cells`` is a Grid).  Links are evaluated, checked and skipped in the
-    order of the per-link backends, and the links at (n_s, rate_s) share
-    one set of rate terms.
-    """
-    if protocol is ProtocolKind.DT:
-        return rayleigh_link(cells, None, t.n_s, t.rate_s, total_snr, convention)[0]
-    n_s, rate_s = t.n_s, t.rate_s
-    sr, terms = rayleigh_link(cells, None, n_s, rate_s, cells.take(t, "omega_sr"), convention)
-    sd = omega_sd = None
-    if protocol is not ProtocolKind.DF:
-        omega_sd = t.omega_sd
-        sd, _ = rayleigh_link(cells, terms, n_s, rate_s, omega_sd, convention)
-    omega_rd = cells.take(t, "omega_rd")
-    silent = omega_rd == 0.0
-    if protocol is ProtocolKind.MRC:
-        srd = cells.branch(silent, _silent_pair, _pair_stage,
-                           sd, omega_sd, omega_rd, n_s, t.n_r, rate_s, *terms)
-        value = _compose(protocol, sd, sr, None, srd)
-    else:
-        shared = terms if cells.same(t.n_r, n_s) else (None, None, None)
-        rd = cells.branch(silent, _silent_hop, _hop_stage,
-                          t.n_r, t.rate_r, omega_rd, *shared, convention)
-        value = _compose(protocol, sd, sr, rd, None)
-    return cells.where(value < 0.0, 0.0, cells.where(value > 1.0, 1.0, value))
+    """Evaluate all four constituent links of one topology."""
+    stage = _link_stage(backend, LinConvention.parse(convention))
+    # sd first: it decides the error raised when both sd and sr fail
+    links = _links(POINT, ("sd", "sr", "rd", "srd"), cfg, cfg.total_snr.value, stage)
+    if backend.kind is BackendKind.CLOSED_FORM:
+        links = {name: OutageEstimate(value=value, method=EstimateMethod.CLOSED_FORM)
+                 for name, value in links.items()}
+    return LinkOutages(**links)
 
 
 def closed_outages(
@@ -423,10 +458,11 @@ def closed_outages(
     with the closed backend, with NaN where that call raises; and, for each
     such cell, the exception it raises.
     """
+    reads, compose, _ = _SCHEMES[ProtocolKind.parse(protocol)]
+    stage = _ClosedLinks(LinConvention.parse(convention))
     grid = Grid(cells.size)
     with np.errstate(all="ignore"):
-        value = _closed_outage(grid, ProtocolKind.parse(protocol), cells, cells.total_snr,
-                               LinConvention.parse(convention))
+        value = _compose(grid, compose, _links(grid, reads, cells, cells.total_snr, stage))
     return np.where(grid.alive, value, np.nan), grid.failures
 
 
@@ -444,84 +480,7 @@ def protocol_outage(
     shares the direct-link estimate, making the combined figure slightly
     conservative there).
     """
-    protocol = ProtocolKind.parse(protocol)
-    convention = LinConvention.parse(convention)
-
-    if backend.kind is BackendKind.CLOSED_FORM:
-        value = _closed_outage(POINT, protocol, cfg, cfg.total_snr.value, convention)
-        return OutageEstimate(value=value, method=EstimateMethod.CLOSED_FORM)
-
-    if protocol is ProtocolKind.DT:
-        omega = cfg.total_snr.value  # full budget, relay idle
-        return _single_link(backend, convention, cfg.n_s, cfg.rate_s, omega, _STREAM_SD)
-
-    # Evaluate only the links this composition reads.  The combined branch
-    # belongs to MRC alone, so DF and SC stay available wherever the
-    # single-link forms are — mixed per-hop framings included.
-    sr = _single_link(backend, convention, cfg.n_s, cfg.rate_s, cfg.omega_sr, _STREAM_SR)
-    sd = None
-    if protocol is not ProtocolKind.DF:
-        sd = _single_link(backend, convention, cfg.n_s, cfg.rate_s, cfg.omega_sd, _STREAM_SD)
-
-    if protocol is ProtocolKind.MRC:
-        srd = sd if cfg.relay_silent else _pair_link(backend, convention, cfg)
-        value = _compose(protocol, sd.value, sr.value, None, srd.value)
-        grads = (
-            (sd, sr.value),
-            (sr, sd.value - srd.value),
-            (srd, 1.0 - sr.value),
-        )
-    else:
-        if cfg.relay_silent:
-            rd = OutageEstimate(
-                value=1.0,
-                method=sr.method,
-                std_error=0.0 if sr.method is EstimateMethod.MONTE_CARLO else None,
-                trials=sr.trials,
-                seed=sr.seed,
-            )
-        else:
-            rd = _single_link(
-                backend, convention, cfg.n_r, cfg.rate_r, cfg.omega_rd, _STREAM_RD
-            )
-        value = _compose(protocol, None if sd is None else sd.value, sr.value, rd.value, None)
-        if protocol is ProtocolKind.DF:
-            grads = ((sr, 1.0 - rd.value), (rd, 1.0 - sr.value))
-        else:  # SC
-            grads = (
-                (sd, sr.value + (1.0 - sr.value) * rd.value),
-                (sr, sd.value * (1.0 - rd.value)),
-                (rd, sd.value * (1.0 - sr.value)),
-            )
-
-    value = min(max(value, 0.0), 1.0)
-    if backend.kind is BackendKind.MONTE_CARLO:
-        var = sum((g * _se(est)) ** 2 for est, g in grads)
-        return OutageEstimate(
-            value=value,
-            method=EstimateMethod.MONTE_CARLO,
-            std_error=min(math.sqrt(var), 0.5),
-            trials=backend.trials,
-            seed=backend.seed,
-        )
-    return OutageEstimate(value=value, method=EstimateMethod.QUAD_TRUE_Q)
-
-
-def dt_outage(cfg, backend, convention=LinConvention.NATS) -> float:
-    """Direct transmission: one link at the full SNR budget; eta is ignored."""
-    return protocol_outage(ProtocolKind.DT, cfg, backend, convention).value
-
-
-def df_outage(cfg, backend, convention=LinConvention.NATS) -> float:
-    """Always-forward relaying: fails iff either hop fails."""
-    return protocol_outage(ProtocolKind.DF, cfg, backend, convention).value
-
-
-def sc_outage(cfg, backend, convention=LinConvention.NATS) -> float:
-    """Selection combining: the relayed copy rescues a failed direct copy."""
-    return protocol_outage(ProtocolKind.SC, cfg, backend, convention).value
-
-
-def mrc_outage(cfg, backend, convention=LinConvention.NATS) -> float:
-    """Ratio combining: direct and relayed branch SNRs add at the receiver."""
-    return protocol_outage(ProtocolKind.MRC, cfg, backend, convention).value
+    reads, compose, partials = _SCHEMES[ProtocolKind.parse(protocol)]
+    stage = _link_stage(backend, LinConvention.parse(convention))
+    links = _links(POINT, reads, cfg, cfg.total_snr.value, stage)
+    return stage.outage(compose, partials, links)

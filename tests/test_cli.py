@@ -368,6 +368,6 @@ class TestGroupPlumbing:
             assert getattr(fbrelay, name) is getattr(fbrelay.oracles, name)
         namespace = {}
         exec("from fbrelay import *", namespace)
-        assert set(fbrelay.__all__) <= namespace.keys() and len(fbrelay.__all__) == 52
+        assert set(fbrelay.__all__) <= namespace.keys() and len(fbrelay.__all__) == 47
         with pytest.raises(AttributeError):
             fbrelay.no_such_name  # noqa: B018

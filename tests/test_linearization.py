@@ -14,7 +14,6 @@ from fbrelay import (
     LinearizationParams,
     NumericError,
     SnrValue,
-    k_eval,
     linearize,
     ramp_coefficients,
     ramp_eval,
@@ -139,11 +138,6 @@ class TestRampFamilies:
         m, lo, hi = ramp_coefficients(p, "zeta")
         assert ramp_eval(lo - 1.0, p) == 1.0
         assert ramp_eval(hi + 1.0, p) == 0.0
-
-    def test_k_eval_is_the_mu_family(self):
-        p = ref_params()
-        for t in (p.rho_lo - 0.1, p.rho_lo, 0.0, p.theta, 0.1, p.rho_hi, p.rho_hi + 0.1):
-            assert k_eval(t, p) == ramp_eval(t, p, "mu")
 
     def test_breakpoint_continuity(self):
         p = ref_params()

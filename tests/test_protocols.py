@@ -15,18 +15,18 @@ from fbrelay import (
     ProtocolKind,
     SnrValue,
     TopologyConfig,
-    df_outage,
-    dt_outage,
     link_outages,
-    mrc_outage,
     protocol_outage,
     rayleigh_outage,
-    sc_outage,
 )
 from fbrelay import protocols
 from fbrelay._estimates import lazy_binding
 
 TEN_DB = SnrValue.from_db(10.0)
+
+
+def outage(protocol: str, c: TopologyConfig, backend: Backend) -> float:
+    return protocol_outage(protocol, c, backend).value
 
 
 def cfg(**kw) -> TopologyConfig:
@@ -134,24 +134,25 @@ class TestLinkOutages:
 class TestCompositions:
     def test_frozen_protocol_values(self):
         backend = Backend.closed_form()
-        assert dt_outage(cfg(), backend) == pytest.approx(0.0405665829756156, rel=1e-13)
-        assert df_outage(cfg(), backend) == pytest.approx(0.15262627700616618, rel=1e-13)
-        assert sc_outage(cfg(), backend) == pytest.approx(0.012129355966471257, rel=1e-13)
-        assert mrc_outage(cfg(), backend) == pytest.approx(0.009333206174667357, rel=1e-13)
+        assert outage("dt", cfg(), backend) == pytest.approx(0.0405665829756156, rel=1e-13)
+        assert outage("df", cfg(), backend) == pytest.approx(0.15262627700616618, rel=1e-13)
+        assert outage("sc", cfg(), backend) == pytest.approx(0.012129355966471257, rel=1e-13)
+        assert outage("mrc", cfg(), backend) == pytest.approx(0.009333206174667357, rel=1e-13)
 
     def test_compositions_reconstruct_from_links(self):
         c = cfg(eta=0.35, beta=0.6, path_loss_exp=2.0)
-        backend = Backend.closed_form()
-        links = link_outages(c, backend)
-        sd, sr, rd, srd = links.eps_sd, links.eps_sr, links.eps_rd, links.eps_srd
-        assert df_outage(c, backend) == pytest.approx(sr + (1 - sr) * rd, rel=1e-14)
-        assert sc_outage(c, backend) == pytest.approx(sd * sr + (1 - sr) * sd * rd, rel=1e-14)
-        assert mrc_outage(c, backend) == pytest.approx(sd * sr + (1 - sr) * srd, rel=1e-14)
+        for backend in (Backend.closed_form(), Backend.quadrature(),
+                        Backend.monte_carlo(20_000, 5)):
+            links = link_outages(c, backend)
+            sd, sr, rd, srd = links.eps_sd, links.eps_sr, links.eps_rd, links.eps_srd
+            assert outage("df", c, backend) == sr + (1 - sr) * rd
+            assert outage("sc", c, backend) == sd * sr + (1 - sr) * sd * rd
+            assert outage("mrc", c, backend) == sd * sr + (1 - sr) * srd
 
     def test_dt_uses_the_full_budget_and_ignores_eta(self):
         backend = Backend.closed_form()
-        assert dt_outage(cfg(eta=0.2), backend) == dt_outage(cfg(eta=0.9), backend)
-        assert dt_outage(cfg(), backend) == pytest.approx(
+        assert outage("dt", cfg(eta=0.2), backend) == outage("dt", cfg(eta=0.9), backend)
+        assert outage("dt", cfg(), backend) == pytest.approx(
             rayleigh_outage(500, 0.5, float(TEN_DB)), rel=1e-15
         )
 
@@ -159,19 +160,16 @@ class TestCompositions:
         # a + b - a*b is symmetric, so swapping (eta, beta) -> (1-eta, 1-beta)
         # swaps the two hop SNRs and leaves DF unchanged
         backend = Backend.closed_form()
-        a = df_outage(cfg(eta=0.3, beta=0.4, path_loss_exp=3.0), backend)
-        b = df_outage(cfg(eta=0.7, beta=0.6, path_loss_exp=3.0), backend)
+        a = outage("df", cfg(eta=0.3, beta=0.4, path_loss_exp=3.0), backend)
+        b = outage("df", cfg(eta=0.7, beta=0.6, path_loss_exp=3.0), backend)
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_mrc_never_behind_sc(self):
         for eta in (0.3, 0.5, 0.8):
             c = cfg(eta=eta, path_loss_exp=3.0)
-            assert mrc_outage(c, Backend.quadrature()) <= sc_outage(
-                c, Backend.quadrature()
-            ) + 1e-12
-            assert mrc_outage(c, Backend.closed_form()) <= sc_outage(
-                c, Backend.closed_form()
-            ) + 1e-6
+            quad, closed = Backend.quadrature(), Backend.closed_form()
+            assert outage("mrc", c, quad) <= outage("sc", c, quad) + 1e-12
+            assert outage("mrc", c, closed) <= outage("sc", c, closed) + 1e-6
 
     def test_protocol_ordering_with_geometry(self):
         c = cfg(path_loss_exp=3.0)
@@ -192,9 +190,9 @@ class TestSilentRelay:
         links = link_outages(cfg(eta=1.0), backend)
         assert links.eps_rd == 1.0
         assert links.eps_srd == links.eps_sd
-        assert df_outage(cfg(eta=1.0), backend) == pytest.approx(1.0, abs=1e-12)
-        assert sc_outage(cfg(eta=1.0), backend) == pytest.approx(links.eps_sd, rel=1e-12)
-        assert mrc_outage(cfg(eta=1.0), backend) == pytest.approx(links.eps_sd, rel=1e-12)
+        assert outage("df", cfg(eta=1.0), backend) == pytest.approx(1.0, abs=1e-12)
+        assert outage("sc", cfg(eta=1.0), backend) == pytest.approx(links.eps_sd, rel=1e-12)
+        assert outage("mrc", cfg(eta=1.0), backend) == pytest.approx(links.eps_sd, rel=1e-12)
 
     def test_mc_silent_forward_hop_has_zero_spread(self):
         links = link_outages(cfg(eta=1.0), Backend.monte_carlo(50_000, 17))
@@ -206,7 +204,7 @@ class TestMixedFraming:
     def test_closed_form_refuses(self):
         c = cfg(n_s=500, n_r=250, k=125)
         with pytest.raises(DomainError, match="blocklength"):
-            mrc_outage(c, Backend.closed_form())
+            outage("mrc", c, Backend.closed_form())
 
     def test_oracles_accept_at_source_framing(self):
         from fbrelay import HypoexpParams, fading_outage_quadrature
@@ -223,7 +221,7 @@ class TestMixedFraming:
     def test_df_and_sc_still_use_their_own_framings(self):
         # DF has no combined link, so mixed framing is fine closed-form
         c = cfg(n_s=500, n_r=250, k=125)
-        val = df_outage(c, Backend.closed_form())
+        val = outage("df", c, Backend.closed_form())
         assert 0.0 < val < 1.0
 
 
@@ -234,7 +232,7 @@ class TestMonteCarloProtocols:
         assert est.std_error == 0.0010799786337094685
 
     def test_tracks_closed_form(self):
-        closed = df_outage(cfg(), Backend.closed_form())
+        closed = outage("df", cfg(), Backend.closed_form())
         est = protocol_outage("df", cfg(), Backend.monte_carlo(100_000, 42))
         assert abs(est.value - closed) <= 4.0 * est.std_error
 
