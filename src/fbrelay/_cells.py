@@ -9,13 +9,13 @@ and a grid (``Grid``):
   numpy's own ``exp``/``expm1``/``sinh``/``log1p`` differ from libm in the
   last bit on a few percent of inputs; +, -, *, / and sqrt stay vectorized,
   since IEEE rounds them exactly either way.  So a grid reproduces the
-  point values bit for bit.
+  point values bit for bit.  ``f`` must not raise on a live cell: callers
+  guard its domain with checks, or catch an overflow inside ``f``.
 * ``fail(mask, exc_type, template, *args)`` is a check: a point raises at
   once; a grid records the exception against every live cell in ``mask``
   and drops those cells from every later step.  A grid cell therefore
   fails exactly where, and with exactly the exception, that the point
-  evaluation of the same inputs raises.  Arithmetic errors that ``math``
-  raises (``OverflowError``) are recorded the same way.
+  evaluation of the same inputs raises.
 * ``branch(cond, if_true, if_false, *args)`` evaluates each side on its own
   cells only.
 
@@ -95,14 +95,7 @@ class Grid:
         out = np.full(self.alive.shape, np.nan)
         live = np.flatnonzero(self.alive)
         values = x[live].tolist()
-        try:
-            out[live] = np.fromiter(map(f, values), float, len(values))
-        except (ArithmeticError, ValueError):
-            for i, v in zip(live.tolist(), values):
-                try:
-                    out[i] = f(v)
-                except (ArithmeticError, ValueError) as exc:
-                    self._drop(i, exc)
+        out[live] = np.fromiter(map(f, values), float, len(values))
         return out
 
     def fail(self, mask, exc_type, template, *args) -> None:

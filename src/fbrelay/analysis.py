@@ -13,12 +13,13 @@ Three instruments:
   (blocklength, payload) grid at fixed SNR, the raw material for
   "which (n, k) achieve 99.9%" contour questions.
 
-With the closed backend each instrument evaluates its grid in one batch
-(``protocols.closed_outages``): a sweep once per protocol, a power-split
+Each instrument hands its grid to ``protocols.outages`` as one batch, on
+every backend: a sweep once per protocol and backend, a power-split
 search's coarse scan once, and a fixed-split region map once.  The values
 are bit for bit those of per-cell evaluation, and so are the failed cells
-and their messages.  The quadrature and Monte Carlo backends, the
-golden-section steps and per-cell split optimization stay per cell.
+and their messages.  How a batch is evaluated is the protocol layer's
+business (the closed form in one grid call, the oracles cell by cell).
+The golden-section steps and per-cell split optimization stay per cell.
 """
 
 from __future__ import annotations
@@ -26,8 +27,6 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import DomainError, FbrelayError
 from .finite_blocklength import MIN_BLOCKLENGTH, RateSpec, SnrValue
@@ -38,7 +37,7 @@ from .protocols import (
     ProtocolKind,
     TopologyCells,
     TopologyConfig,
-    closed_outages,
+    outages,
     protocol_outage,
 )
 
@@ -54,10 +53,6 @@ _GOLDEN = 2.0 / (1.0 + math.sqrt(5.0))
 #: No code maps more than 8 bits onto one channel use in this package's
 #: regime of interest; region grids beyond that are rejected outright.
 MAX_BITS_PER_USE = 8.0
-
-#: Integers below this convert to float exactly, so a batch's k / n rounds
-#: as Python's does; larger blocklengths or payloads are evaluated per cell.
-_EXACT_INT = 2 ** 53
 
 
 @dataclass(frozen=True)
@@ -167,28 +162,6 @@ class RegionGrid:
                     raise DomainError(f"success entries must be probabilities, got {cell!r}")
 
 
-def _evaluate(
-    protocol: ProtocolKind,
-    cfg: TopologyConfig,
-    backend: Backend,
-    convention: LinConvention,
-) -> "tuple[float, float | None, FbrelayError | None]":
-    """(outage, std_error, package error) for one cell, never raising one."""
-    try:
-        est = protocol_outage(protocol, cfg, backend, convention)
-    except FbrelayError as exc:
-        return math.nan, None, exc
-    return est.value, est.std_error, None
-
-
-def _message(exc: Exception) -> str:
-    """The message of a batch cell's package error.  Any other exception is
-    raised, as per-cell evaluation raises it."""
-    if not isinstance(exc, FbrelayError):
-        raise exc
-    return str(exc)
-
-
 def _as_protocols(protocols) -> "tuple[ProtocolKind, ...]":
     if isinstance(protocols, (ProtocolKind, str)):
         protocols = [protocols]
@@ -257,20 +230,19 @@ def sweep(
         points.append((cfg, None))
 
     valid = [cfg for cfg, _msg in points if cfg is not None]
-    closed = {}  # protocol -> (outage per valid point, failures)
-    if valid and any(b.kind is BackendKind.CLOSED_FORM for b in bends):
-        ints = [base.k] + [c.n_s for c in valid] + [c.n_r for c in valid]
-        if max(ints) < _EXACT_INT:
-            if axis == "total_snr":
-                column = {"total_snr": [c.total_snr.value for c in valid]}
-            elif axis == "blocklength":
-                column = {"n": [c.n_s for c in valid]}
-            else:
-                column = {"eta": [c.eta for c in valid]}
-            cells = TopologyCells(base, **column)
-            for kind in kinds:
-                outage, failures = closed_outages(kind, cells, convention)
-                closed[kind] = (outage.tolist(), failures)
+    results = []  # per (protocol, backend): (outage, std_error, failures) per valid point
+    if valid:
+        if axis == "total_snr":
+            column = {"total_snr": [c.total_snr.value for c in valid]}
+        elif axis == "blocklength":
+            column = {"n": [c.n_s for c in valid]}
+        else:
+            column = {"eta": [c.eta for c in valid]}
+        cells = TopologyCells(base, **column)
+        for kind in kinds:
+            for backend in bends:
+                outage, std_error, failures = outages(kind, cells, backend, convention)
+                results.append((kind, backend, outage.tolist(), std_error, failures))
 
     rows: "list[SweepRow]" = []
     j = 0  # index of the point among the valid ones
@@ -281,16 +253,10 @@ def sweep(
                     rows.append(SweepRow.from_cell(kind, base, backend, convention, math.nan,
                                                    error=msg))
             continue
-        for kind in kinds:
-            for backend in bends:
-                if backend.kind is BackendKind.CLOSED_FORM and kind in closed:
-                    outage, failures = closed[kind]  # NaN where a cell failed
-                    value, std_error, exc = outage[j], None, failures.get(j)
-                else:
-                    value, std_error, exc = _evaluate(kind, cfg, backend, convention)
-                error = None if exc is None else _message(exc)
-                rows.append(SweepRow.from_cell(kind, cfg, backend, convention, value, std_error,
-                                               error))
+        for kind, backend, outage, std_error, failures in results:
+            exc = failures.get(j)  # outage is NaN where a cell failed
+            rows.append(SweepRow.from_cell(kind, cfg, backend, convention, outage[j],
+                                           std_error[j], None if exc is None else str(exc)))
         j += 1
     return rows
 
@@ -346,13 +312,10 @@ def optimize_eta(
         ).value
 
     grid = _coarse_grid(coarse_step)
-    if backend.kind is BackendKind.CLOSED_FORM and max(cfg.n_s, cfg.n_r, cfg.k) < _EXACT_INT:
-        outage, failures = closed_outages(protocol, TopologyCells(cfg, eta=grid), convention)
-        if failures:
-            raise failures[min(failures)]  # where the per-point scan stops
-        values = outage.tolist()
-    else:
-        values = [f(eta) for eta in grid]
+    outage, _, failures = outages(protocol, TopologyCells(cfg, eta=grid), backend, convention)
+    if failures:
+        raise failures[min(failures)]  # where a point-by-point scan would stop
+    values = outage.tolist()
     profile = list(zip(grid, values))
     best_i = min(range(len(values)), key=values.__getitem__)
     best_eta, best_eps = profile[best_i]
@@ -443,37 +406,8 @@ def reliability_region(
     if optimize_power_split and backend.kind is BackendKind.MONTE_CARLO:
         raise DomainError("optimize_power_split requires a deterministic backend")
 
-    if (backend.kind is BackendKind.CLOSED_FORM and not optimize_power_split
-            and ns[-1] < _EXACT_INT and ks[-1] < _EXACT_INT):
-        errors, matrix = _closed_region(protocol, snr, ns, ks, convention, eta, beta,
-                                        path_loss_exp, allow_short)
-    else:
-        errors, matrix = [], []
-        for n in ns:
-            row: "list[float]" = []
-            for k in ks:
-                try:
-                    cfg = TopologyConfig(
-                        total_snr=snr,
-                        eta=eta,
-                        beta=beta,
-                        path_loss_exp=path_loss_exp,
-                        n_s=n,
-                        n_r=n,
-                        k=k,
-                        allow_short=allow_short,
-                    )
-                    if optimize_power_split:
-                        eps = optimize_eta(protocol, cfg, backend, convention).eps_star
-                    else:
-                        eps = protocol_outage(protocol, cfg, backend, convention).value
-                except FbrelayError as exc:
-                    errors.append(f"n={n} k={k}: {exc}")
-                    row.append(math.nan)
-                    continue
-                row.append(1.0 - eps)
-            matrix.append(tuple(row))
-
+    errors, matrix = _region(protocol, snr, ns, ks, backend, convention, eta, beta,
+                             path_loss_exp, allow_short, optimize_power_split)
     return RegionGrid(
         protocol=protocol,
         convention=convention,
@@ -486,13 +420,16 @@ def reliability_region(
     )
 
 
-def _closed_region(protocol, snr, ns, ks, convention, eta, beta, path_loss_exp, allow_short):
-    """(errors, matrix) of a closed-form map at a fixed split, in one batch.
+def _region(protocol, snr, ns, ks, backend, convention, eta, beta, path_loss_exp, allow_short,
+            optimize_power_split):
+    """(errors, matrix) of a map.
 
     The topology fields are validated once and each blocklength once (the
     payloads are positive integers already), in the order TopologyConfig
     checks them, so a refused cell carries the message its own
-    TopologyConfig would raise; short blocklengths warn once each.
+    TopologyConfig would raise; short blocklengths warn once each.  The
+    other cells are evaluated in one batch at a fixed split, or each by its
+    own power-split search.
     """
     try:
         base = TopologyConfig(total_snr=snr, eta=eta, beta=beta, path_loss_exp=path_loss_exp,
@@ -508,12 +445,21 @@ def _closed_region(protocol, snr, ns, ks, convention, eta, beta, path_loss_exp, 
                 refused[n] = str(exc)
     kept = [n for n in ns if n not in refused]
     width = len(ks)
-    if kept:
-        cells = TopologyCells(base, n=np.repeat(kept, width), k=np.tile(ks, len(kept)))
-        outage, failures = closed_outages(protocol, cells, convention)
+    n_col, k_col = [n for n in kept for _ in ks], list(ks) * len(kept)
+    success: "list[float]" = []
+    failures: "dict[int, FbrelayError]" = {}
+    if optimize_power_split:
+        for i, (n, k) in enumerate(zip(n_col, k_col)):
+            cfg = dataclasses.replace(base, n_s=n, n_r=n, k=k, allow_short=allow_short)
+            try:
+                success.append(1.0 - optimize_eta(protocol, cfg, backend, convention).eps_star)
+            except FbrelayError as exc:
+                failures[i] = exc
+                success.append(math.nan)
+    elif kept:
+        cells = TopologyCells(base, n=n_col, k=k_col)
+        outage, _, failures = outages(protocol, cells, backend, convention)
         success = (1.0 - outage).tolist()
-    else:
-        success, failures = [], {}
     failed_in_row: "dict[int, list[int]]" = {}
     for i in sorted(failures):
         failed_in_row.setdefault(i // width, []).append(i)
@@ -527,7 +473,7 @@ def _closed_region(protocol, snr, ns, ks, convention, eta, beta, path_loss_exp, 
             matrix.append((math.nan,) * width)
             continue
         for i in failed_in_row.get(r, ()):
-            errors.append(f"n={n} k={ks[i - r * width]}: {_message(failures[i])}")
+            errors.append(f"n={n} k={ks[i - r * width]}: {failures[i]}")
         matrix.append(tuple(success[r * width:(r + 1) * width]))
         r += 1
     return errors, matrix

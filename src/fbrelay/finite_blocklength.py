@@ -118,6 +118,14 @@ class RateSpec:
         return self.k / self.n
 
 
+def _check_code(n: int, rate: "float | None" = None) -> None:
+    """Reject n below 1, then (when given) a rate that is not positive and finite."""
+    if n < 1:
+        raise DomainError(f"blocklength must be >= 1, got {n!r}")
+    if rate is not None and (not (rate > 0.0) or not math.isfinite(rate)):
+        raise DomainError(f"rate must be a positive finite number, got {rate!r}")
+
+
 def shannon_capacity(rho: "SnrValue | float") -> float:
     """C(rho) = log2(1 + rho), bits per channel use."""
     return math.log2(1.0 + _as_snr(rho))
@@ -158,8 +166,7 @@ def max_coding_rate(n: int, eps: float, rho: "SnrValue | float") -> float:
     May be negative for tiny eps at small n; returned as-is so callers can
     treat "no positive rate works" explicitly.
     """
-    if n < 1:
-        raise DomainError(f"blocklength must be >= 1, got {n!r}")
+    _check_code(n)
     if not (0.0 < eps < 1.0):
         raise DomainError(f"target error probability must lie in (0, 1), got {eps!r}")
     r = _as_snr(rho, positive=True)
@@ -173,10 +180,7 @@ def awgn_outage(n: int, rate: float, rho: "SnrValue | float") -> float:
 
     Exact inverse of max_coding_rate: awgn_outage(n, max_coding_rate(n, e, rho), rho) == e.
     """
-    if n < 1:
-        raise DomainError(f"blocklength must be >= 1, got {n!r}")
-    if not (rate > 0.0) or not math.isfinite(rate):
-        raise DomainError(f"rate must be a positive finite number, got {rate!r}")
+    _check_code(n, rate)
     r = _as_snr(rho, positive=True)
     c = shannon_capacity(r)
     v = channel_dispersion(r)

@@ -39,7 +39,7 @@ from typing import Literal
 
 from ._cells import POINT
 from .errors import DomainError, NumericError
-from .finite_blocklength import SNR_RANGE_MESSAGE, SNR_ZERO_MESSAGE, SnrValue, _as_snr
+from .finite_blocklength import SNR_RANGE_MESSAGE, SNR_ZERO_MESSAGE, SnrValue, _as_snr, _check_code
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 SQRT_HALF_PI = math.sqrt(0.5 * math.pi)
@@ -171,10 +171,7 @@ def ramp(coeff, theta):
 
 def check_request(n, rate, power) -> float:
     """Validate one (n, rate, power) request; returns the linear power."""
-    if n < 1:
-        raise DomainError(f"blocklength must be >= 1, got {n!r}")
-    if not (rate > 0.0) or not math.isfinite(rate):
-        raise DomainError(f"rate must be a positive finite number, got {rate!r}")
+    _check_code(n, rate)
     return _as_snr(power, positive=True)
 
 

@@ -48,7 +48,7 @@ from scipy.special import erfc
 from ._estimates import EstimateMethod, ExponentialDensity, OutageEstimate
 from .closed_form import HypoexpParams, hypoexp_cdf, hypoexp_pdf
 from .errors import ConvergenceError, DomainError
-from .finite_blocklength import LN2, SnrValue, outage_given_snr
+from .finite_blocklength import LN2, SnrValue, _check_code, outage_given_snr
 from .linearization import LinearizationParams, RampSlope, ramp_coefficients
 
 #: Environment variable capping worker threads for partitioned sampling.
@@ -253,10 +253,7 @@ def fading_outage_quadrature(
     link), an ExponentialDensity, or HypoexpParams for the combined link.
     """
     abs_tol = _check_abs_tol(abs_tol)
-    if n < 1:
-        raise DomainError(f"blocklength must be >= 1, got {n!r}")
-    if not (rate > 0.0) or not math.isfinite(rate):
-        raise DomainError(f"rate must be a positive finite number, got {rate!r}")
+    _check_code(n, rate)
     density = _as_density(channel)
     head, cuts = _axis_cuts(n, rate, density)
 
@@ -343,9 +340,24 @@ def linearized_outage_quadrature(
     return OutageEstimate(value=value, method=EstimateMethod.QUAD_LINEARIZED)
 
 
+def _q_argument(n: int, rate: float, w: np.ndarray) -> np.ndarray:
+    return np.sqrt(n) * (np.log1p(w) - rate * LN2) * (1.0 + w) / np.sqrt(w * (2.0 + w))
+
+
 def _conditional_outage_np(n: int, rate: float, w: np.ndarray) -> np.ndarray:
-    """Vectorized conditional error probability at instantaneous SNR w > 0."""
-    arg = np.sqrt(n) * (np.log1p(w) - rate * LN2) * (1.0 + w) / np.sqrt(w * (2.0 + w))
+    """Vectorized conditional error probability at instantaneous SNR w > 0.
+
+    Where w * (2 + w) overflows (w above about 1.3e154), the factor
+    (1 + w) / sqrt(w (2 + w)) is taken as (1 + w) / (sqrt(w) sqrt(2 + w)).
+    """
+    if w.max() <= 1e154:  # no w * (2 + w) can overflow
+        return 0.5 * erfc(_q_argument(n, rate, w) / math.sqrt(2.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        arg = _q_argument(n, rate, w)
+        huge = np.isinf(w * (2.0 + w))
+        big = w[huge]
+        arg[huge] = np.sqrt(n) * (np.log1p(big) - rate * LN2) * (
+            (1.0 + big) / (np.sqrt(big) * np.sqrt(2.0 + big)))
     return 0.5 * erfc(arg / math.sqrt(2.0))
 
 
@@ -383,10 +395,7 @@ def fading_outage_mc(
         raise DomainError(f"trials must be >= {_MIN_TRIALS}, got {trials!r}")
     if partitions < 1:
         raise DomainError(f"partitions must be >= 1, got {partitions!r}")
-    if n < 1:
-        raise DomainError(f"blocklength must be >= 1, got {n!r}")
-    if not (rate > 0.0) or not math.isfinite(rate):
-        raise DomainError(f"rate must be a positive finite number, got {rate!r}")
+    _check_code(n, rate)
     density = _as_density(channel)
 
     base, extra = divmod(trials, partitions)

@@ -26,8 +26,9 @@ cross-examined by a slower, independent one.  One table holds each
 composition and its partial derivatives (for the Monte Carlo std_error),
 and one evaluator reads a scheme's links; a backend supplies only its link
 stage: the closed-form kernels over ``_cells`` objects, or the oracles at
-one point.  ``closed_outages`` evaluates a whole ``TopologyCells`` batch in
-closed form, bit for bit as ``protocol_outage`` and failing per cell.
+one point.  ``outages`` evaluates a whole ``TopologyCells`` batch on any
+backend, bit for bit as ``protocol_outage`` and failing per cell: the
+closed form in one grid call, the oracles cell by cell.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from .closed_form import (
     rayleigh_link,
     rayleigh_outage,  # noqa: F401  (bench/worker.py traces calls through this name)
 )
-from .errors import DomainError, NumericError
+from .errors import DomainError, FbrelayError, NumericError
 from .finite_blocklength import RateSpec, SnrValue, _as_snr
 from .linearization import LinConvention
 
@@ -209,44 +210,70 @@ class TopologyConfig:
         return self.omega_rd == 0.0
 
 
+#: Integers below this convert to float exactly, so numpy's k / n rounds as
+#: Python's does.
+_EXACT_INT = 2 ** 53
+
+
+class _Cell(TopologyConfig):
+    """One topology of a batch, valid by the batch's contract: a
+    TopologyConfig without its checks and warnings."""
+
+    def __post_init__(self) -> None:
+        pass
+
+
 class TopologyCells:
     """A batch of topologies as columns, one entry per cell.
 
     Each keyword replaces the matching field of ``base`` by an array (``n``
     sets both hop blocklengths); beta and path_loss_exp stay the base's.
-    The attributes mirror TopologyConfig's: n_s, n_r, rate_s, rate_r,
+    The cells must be valid topologies: nothing is checked here.  The
+    attributes mirror TopologyConfig's: n_s, n_r, rate_s, rate_r,
     total_snr (linear) and the link SNRs, computed by the same expressions.
     The path-loss gain in omega_sr and omega_rd can overflow; ``raised``
     keeps that NumericError under the SNR's name, and every cell fails with
-    it at the step where the per-topology evaluation reads that SNR.  Integer
-    columns must stay below 2**53, where numpy's k / n equals Python's.
+    it at the step where the per-topology evaluation reads that SNR.
+    ``big_ints`` says that a blocklength or payload is at or above 2**53,
+    where numpy's k / n would round differently from Python's: the integer
+    columns then hold Python ints, and the batch is evaluated per cell.
     """
 
     def __init__(self, base: TopologyConfig, *, total_snr=None, eta=None, n=None, k=None):
         given = [c for c in (total_snr, eta, n, k) if c is not None]
         self.size = len(given[0]) if given else 1
+        ints = ((base.n_s, base.n_r) if n is None else (n, n)) + (base.k if k is None else k,)
 
-        def column(values, default, dtype):
-            values = default if values is None else values
+        def column(values, dtype=None):
             return np.broadcast_to(np.asarray(values, dtype=dtype), (self.size,))
 
-        snr = column(total_snr, base.total_snr.value, float)
-        share = column(eta, base.eta, float)
-        self.n_s = column(n, base.n_s, np.int64)
-        self.n_r = column(n, base.n_r, np.int64)
-        k = column(k, base.k, np.int64)
-        self.rate_s = k / self.n_s
-        self.rate_r = k / self.n_r
-        self.total_snr = snr
-        self.omega_sd = _omega_sd(snr, share)
+        # int64 below 2**63; past it numpy infers uint64, float64 or object
+        self.n_s, self.n_r, self.k = (column(c) for c in ints)
+        self.big_ints = bool(max(c.max() for c in (self.n_s, self.n_r, self.k)) >= _EXACT_INT)
+        if self.big_ints:
+            self.n_s, self.n_r, self.k = (column(c, object) for c in ints)
+        self.base = base
+        self.total_snr = column(base.total_snr.value if total_snr is None else total_snr, float)
+        self.eta = column(base.eta if eta is None else eta, float)
+        self.rate_s = self.k / self.n_s
+        self.rate_r = self.k / self.n_r
         self.raised: "dict[str, NumericError]" = {}
-        for name, omega in (("omega_sr", _omega_sr), ("omega_rd", _omega_rd)):
-            try:
-                value = omega(snr, share, base.beta, base.path_loss_exp)
-            except NumericError as exc:
-                self.raised[name] = exc
-                value = np.full(self.size, np.nan)
-            setattr(self, name, value)
+        with np.errstate(over="ignore"):  # a link SNR may overflow to inf, as a float's does
+            self.omega_sd = _omega_sd(self.total_snr, self.eta)
+            for name, omega in (("omega_sr", _omega_sr), ("omega_rd", _omega_rd)):
+                try:
+                    value = omega(self.total_snr, self.eta, base.beta, base.path_loss_exp)
+                except NumericError as exc:
+                    self.raised[name] = exc
+                    value = np.full(self.size, np.nan)
+                setattr(self, name, value)
+
+    def points(self):
+        """The cells one by one, as topologies with plain Python scalars."""
+        b = self.base
+        for snr, eta, n_s, n_r, k in zip(self.total_snr.tolist(), self.eta.tolist(),
+                                         self.n_s.tolist(), self.n_r.tolist(), self.k.tolist()):
+            yield _Cell(SnrValue(snr), eta, b.beta, b.path_loss_exp, n_s, n_r, k)
 
 
 @dataclass(frozen=True)
@@ -400,7 +427,7 @@ def _link_stage(backend: Backend, convention: LinConvention):
 def _links(cells, reads: "tuple[str, ...]", t, total_snr, stage) -> dict:
     """The outage of each link named in ``reads``, by name.
 
-    ``t`` is a TopologyConfig (``cells`` is POINT) or a TopologyCells batch
+    ``t`` is one topology (``cells`` is POINT) or a TopologyCells batch
     (``cells`` is a Grid, and ``stage`` closed).  sd and sr are evaluated
     in the order of ``reads``, then rd or srd; each link is checked where
     it is evaluated.  The links at (n_s, rate_s) share one set of rate
@@ -447,23 +474,44 @@ def link_outages(
     return LinkOutages(**links)
 
 
-def closed_outages(
+def _point_outage(scheme, stage, t) -> OutageEstimate:
+    reads, compose, partials = scheme
+    return stage.outage(compose, partials, _links(POINT, reads, t, t.total_snr.value, stage))
+
+
+def outages(
     protocol: "ProtocolKind | str",
     cells: TopologyCells,
+    backend: Backend,
     convention: "LinConvention | str" = LinConvention.NATS,
-) -> "tuple[np.ndarray, dict[int, Exception]]":
-    """Closed-form outage of one scheme over a batch of topologies.
+) -> "tuple[np.ndarray, list[float | None], dict[int, FbrelayError]]":
+    """Outage of one scheme over a batch of topologies, on any backend.
 
     Returns the outage per cell, equal bit for bit to ``protocol_outage``
-    with the closed backend, with NaN where that call raises; and, for each
-    such cell, the exception it raises.
+    of that cell's topology, with NaN where that call raises; each cell's
+    std_error (None but for Monte Carlo); and, for each failed cell, the
+    package error it raises.  The closed form evaluates the batch in one
+    ``Grid`` call; the oracles, and a batch with ``big_ints``, evaluate the
+    cells one by one.
     """
-    reads, compose, _ = _SCHEMES[ProtocolKind.parse(protocol)]
-    stage = _ClosedLinks(LinConvention.parse(convention))
-    grid = Grid(cells.size)
-    with np.errstate(all="ignore"):
-        value = _compose(grid, compose, _links(grid, reads, cells, cells.total_snr, stage))
-    return np.where(grid.alive, value, np.nan), grid.failures
+    scheme = _SCHEMES[ProtocolKind.parse(protocol)]
+    stage = _link_stage(backend, LinConvention.parse(convention))
+    std_error: "list[float | None]" = [None] * cells.size
+    if backend.kind is BackendKind.CLOSED_FORM and not cells.big_ints:
+        reads, compose, _ = scheme
+        grid = Grid(cells.size)
+        with np.errstate(all="ignore"):
+            value = _compose(grid, compose, _links(grid, reads, cells, cells.total_snr, stage))
+        return np.where(grid.alive, value, np.nan), std_error, grid.failures
+    outage, failures = np.full(cells.size, np.nan), {}
+    for i, t in enumerate(cells.points()):
+        try:
+            est = _point_outage(scheme, stage, t)
+        except FbrelayError as exc:
+            failures[i] = exc
+        else:
+            outage[i], std_error[i] = est.value, est.std_error
+    return outage, std_error, failures
 
 
 def protocol_outage(
@@ -480,7 +528,5 @@ def protocol_outage(
     shares the direct-link estimate, making the combined figure slightly
     conservative there).
     """
-    reads, compose, partials = _SCHEMES[ProtocolKind.parse(protocol)]
-    stage = _link_stage(backend, LinConvention.parse(convention))
-    links = _links(POINT, reads, cfg, cfg.total_snr.value, stage)
-    return stage.outage(compose, partials, links)
+    return _point_outage(_SCHEMES[ProtocolKind.parse(protocol)],
+                         _link_stage(backend, LinConvention.parse(convention)), cfg)

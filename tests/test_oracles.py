@@ -8,6 +8,7 @@ a fixed-order partition combine that makes the worker count irrelevant.
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -303,6 +304,17 @@ class TestMonteCarlo:
         ):
             est = fading_outage_mc(500, 0.5, channel, 200_000, seed=123)
             assert abs(est.value - truth) <= 4.0 * est.std_error
+
+    @pytest.mark.parametrize("mean", [1e160, 1e305])
+    def test_huge_mean_snr_agrees_with_quadrature(self, mean):
+        # Every draw is far past the transition, where w * (2 + w) overflows;
+        # the true outage is about 4e-6 / mean.
+        truth = fading_outage_quadrature(500, 0.5, mean).value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = fading_outage_mc(500, 0.5, mean, 20_000, seed=1)
+        assert 0.0 < truth < 1e-150
+        assert abs(est.value - truth) <= truth and est.std_error == 0.0
 
     def test_error_shrinks_like_sqrt_trials(self):
         small = fading_outage_mc(500, 0.5, 10.0, 100_000, seed=5)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
@@ -12,6 +13,7 @@ from fbrelay import (
     BackendKind,
     DomainError,
     EstimateMethod,
+    FbrelayError,
     ProtocolKind,
     SnrValue,
     TopologyConfig,
@@ -294,3 +296,71 @@ def test_compositions_land_in_unit_interval(eta, beta, alpha):
     for proto in ("dt", "df", "sc", "mrc"):
         v = protocol_outage(proto, c, Backend.closed_form()).value
         assert 0.0 <= v <= 1.0
+
+
+_BLOCKLENGTHS = st.one_of(st.integers(1, 120), st.integers(100, 3000), st.integers(100, 3000),
+                          st.sampled_from([2 ** 53, 2 ** 53 + 1, 2 ** 63 + 1]))
+_COLUMNS = {
+    "total_snr": st.floats(1e-4, 1e6),
+    "eta": st.one_of(st.just(1.0), st.floats(0.01, 1.0)),
+    "n": _BLOCKLENGTHS,
+    "k": st.integers(1, 4000),
+}
+
+
+@st.composite
+def batches(draw):
+    """A valid base topology and 1-3 values of one of its fields."""
+    n_s = draw(_BLOCKLENGTHS)
+    base = TopologyConfig(
+        total_snr=SnrValue.from_db(draw(st.floats(-40.0, 60.0))),
+        eta=draw(_COLUMNS["eta"]),
+        beta=draw(st.floats(0.01, 0.99)),
+        path_loss_exp=draw(st.one_of(st.sampled_from([0.0, 2.0]), st.floats(0.0, 2000.0))),
+        n_s=n_s,
+        n_r=draw(st.one_of(st.just(n_s), _BLOCKLENGTHS)),  # mixed framing
+        k=draw(st.integers(1, 4000)),
+        allow_short=True,
+    )
+    field = draw(st.sampled_from(sorted(_COLUMNS)))
+    return base, field, draw(st.lists(_COLUMNS[field], min_size=1, max_size=3))
+
+
+def _per_cell(protocol, base, field, value, backend, convention):
+    if field == "n":
+        topology = dataclasses.replace(base, n_s=value, n_r=value)
+    elif field == "total_snr":
+        topology = dataclasses.replace(base, total_snr=SnrValue(value))
+    else:
+        topology = dataclasses.replace(base, **{field: value})
+    try:
+        est = protocol_outage(protocol, topology, backend, convention)
+    except FbrelayError as exc:
+        return [type(exc), str(exc)]
+    return [est.value.hex(), est.std_error]
+
+
+@pytest.mark.filterwarnings("ignore:blocklength n=")
+@pytest.mark.parametrize("backend, convention, examples", [
+    (Backend.closed_form(), "nats", 60),
+    (Backend.closed_form(), "bits", 60),
+    (Backend.quadrature(), "nats", 15),
+    (Backend.monte_carlo(10_000, 3), "nats", 6),
+], ids=["closed-nats", "closed-bits", "quad", "mc"])
+def test_batch_equals_each_cell(backend, convention, examples):
+    """``outages`` over a batch is ``protocol_outage`` of each cell, failures included."""
+
+    @settings(max_examples=examples, derandomize=True, deadline=None)
+    @given(batches())
+    def check(batch):
+        base, field, values = batch
+        cells = protocols.TopologyCells(base, **{field: values})
+        for protocol in ("dt", "df", "sc", "mrc"):
+            outage, std_error, failures = protocols.outages(protocol, cells, backend, convention)
+            for i, value in enumerate(values):
+                exc = failures.get(i)
+                got = ([outage[i].item().hex(), std_error[i]] if exc is None
+                       else [type(exc), str(exc)])
+                assert got == _per_cell(protocol, base, field, value, backend, convention)
+
+    check()
