@@ -12,11 +12,20 @@ argv, exit code, stdout and, where it writes one, the ``--output`` file to
 * ``sweep`` as JSON and as CSV with a refused cell;
 * ``optimize-eta`` as JSON and as CSV;
 * a small ``region`` map written to a CSV file, with refused cells;
-* ``validate``, and one malformed request (exit code 2, empty stdout).
+* a ``region`` map with a refused row and failed cells in several rows, as
+  CSV and as JSON;
+* ``validate``, and one malformed request (exit code 2, empty stdout);
+* ``--config`` files: options set from a file (CSV and JSON), a flag over a
+  file entry, a dashed key, a scalar for a repeatable option, and an
+  unknown key, a value of the wrong type, a missing file, a non-object file
+  and malformed JSON (each exit code 2).
 
-``tests/test_cli_fixture.py`` replays the recorded argv and compares all
-three outputs exactly.  Regenerating the file from a later commit records
-that commit's output, so do so only on purpose, from the repository root:
+A case that reads files writes them into its directory first; the fixture
+records them, and for such a case the stderr too, since a config file's
+error messages are part of its contract.  ``tests/test_cli_fixture.py``
+replays the recorded argv and compares every recorded output exactly.
+Regenerating the file from a later commit records that commit's output, so
+do so only on purpose, from the repository root:
 
     python3 scripts/cli_fixture.py
 """
@@ -36,6 +45,8 @@ from fbrelay.cli import main as fbrelay  # noqa: E402
 
 #: The file that ``--output`` names, relative to the invocation's directory.
 OUTPUT = "table.csv"
+#: The file that ``--config`` names in the config cases.
+CONFIG = "conf.json"
 
 CASES = [
     *((f"outage_{p}_csv", ["outage", "--protocol", p]) for p in ("dt", "df", "sc", "mrc")),
@@ -57,30 +68,58 @@ CASES = [
                     "--output", OUTPUT]),
     ("validate", ["validate"]),
     ("usage_error", ["outage", "--eta", "2"]),
+    *((f"region_failed_cells_{fmt}", ["region", "--protocol", "dt", "--snr-db", "-100",
+                                      "--k-min", "1", "--k-max", "10", "--k-step", "3",
+                                      "--n-min", "50", "--n-max", "250", "--n-step", "50",
+                                      *flags])
+      for fmt, flags in (("csv", []), ("json", ["--json"]))),
+    *((f"config_outage_{fmt}", ["outage", "--snr-db", "8", "--config", CONFIG, *flags],
+       {CONFIG: '{"protocol": "dt", "eta": 0.7, "k": 100, "allow_short": false}'})
+      for fmt, flags in (("csv", []), ("json", ["--json"]))),
+    ("config_flag_wins", ["outage", "--eta", "0.3", "--config", CONFIG, "--n", "400"],
+     {CONFIG: '{"eta": 0.7, "n": 300, "alpha": 2}'}),
+    ("config_dashed_key", ["outage", "--protocol", "df", "--config", CONFIG, "--json"],
+     {CONFIG: '{"snr-db": 6, "n-relay": 300}'}),
+    ("config_scalar_repeatable", ["sweep", "--config", CONFIG, "--start", "0", "--stop", "10",
+                                  "--points", "3", "--json"],
+     {CONFIG: '{"protocol": "dt", "backend": ["closed"]}'}),
+    ("config_unknown_key", ["outage", "--config", CONFIG], {CONFIG: '{"snr": 10}'}),
+    ("config_bad_value", ["outage", "--config", CONFIG], {CONFIG: '{"n": "abc"}'}),
+    ("config_missing_file", ["outage", "--config", "missing.json"], {}),
+    ("config_not_an_object", ["outage", "--config", CONFIG], {CONFIG: '[1, 2]'}),
+    ("config_malformed_json", ["outage", "--config", CONFIG], {CONFIG: '{"eta": 0.7'}),
 ]
 
 
-def run_case(argv: "list[str]") -> "tuple[int, bytes, bytes | None]":
-    """(exit code, stdout, --output file contents or None) of one invocation."""
+def run_case(
+    argv: "list[str]", files: "dict[str, str] | None" = None
+) -> "tuple[int, bytes, bytes, bytes | None]":
+    """(exit code, stdout, stderr, --output file contents or None) of one
+    invocation, after writing ``files`` (name to text) into its directory."""
     runner = CliRunner()
     with runner.isolated_filesystem():
+        for name, text in (files or {}).items():
+            Path(name).write_text(text, encoding="utf-8")
         result = runner.invoke(fbrelay, argv, prog_name="fbrelay")
         path = Path(OUTPUT)
         written = path.read_bytes() if path.exists() else None
-    return result.exit_code, result.stdout_bytes, written
+    return result.exit_code, result.stdout_bytes, result.stderr_bytes, written
 
 
 def main() -> None:
     cases = []
-    for name, argv in CASES:
-        code, stdout, written = run_case(argv)
-        cases.append({
+    for name, argv, *files in CASES:
+        code, stdout, stderr, written = run_case(argv, *files)
+        case = {
             "name": name,
             "argv": argv,
             "exit_code": code,
             "stdout": stdout.decode("utf-8"),
             "output_file": None if written is None else written.decode("utf-8"),
-        })
+        }
+        if files:
+            case.update(files=files[0], stderr=stderr.decode("utf-8"))
+        cases.append(case)
     path = ROOT / "tests" / "data" / "cli_fixture.json"
     path.write_text(json.dumps({"cases": cases}, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {path.relative_to(ROOT)} ({len(cases)} invocations)")

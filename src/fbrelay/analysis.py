@@ -138,8 +138,9 @@ class RegionGrid:
     """Success-probability matrix over payload (columns) x blocklength (rows).
 
     ``success[i][j]`` is 1 - outage at n = n_values[i], k = k_values[j];
-    NaN marks a cell whose evaluation failed, with the reason appended to
-    ``errors``.
+    NaN marks a cell whose evaluation failed.  ``errors`` holds exactly one
+    ``"n=.. k=..: reason"`` per NaN cell, in row-major order (n, then k),
+    so a walk over the matrix can take the reasons in turn.
     """
 
     protocol: ProtocolKind

@@ -8,12 +8,16 @@ Five subcommands under one ``fbrelay`` group:
 * ``region``        success probability over an (n, k) grid
 * ``validate``      cross-check the closed forms against the slow oracles
 
-Table commands share one flat CSV schema (see ``CSV_FIELDS``); resolved
-configuration is echoed first as ``#``-prefixed comment lines so every
-output file is self-describing.  ``--json`` switches any table command to a
-JSON document carrying the same records plus the resolved config object;
-``--output`` writes the table to a file and prints the path and row count
-instead of flooding the terminal.
+Table commands share one flat CSV schema (see ``CSV_FIELDS``, the fields
+of ``SweepRow``); resolved configuration is echoed first as ``#``-prefixed
+comment lines, each tagged ``flag``, ``config`` or ``default`` by where
+click found the value, so every output file is self-describing.
+``--config`` names a JSON object of option values, keyed by option name
+with dashes or underscores; it becomes the command's default map, so it can
+set any option, required ones included, and flags still win.  ``--json``
+switches any table command to a JSON document carrying the same records
+plus the resolved config object; ``--output`` writes the table to a file
+and prints the path and row count instead of flooding the terminal.
 
 Exit codes: 0 success, 1 validation found disagreement, 2 malformed input,
 3 numeric failure inside an otherwise valid computation.
@@ -44,7 +48,7 @@ from .closed_form import HypoexpParams, mrc_pair_outage, rayleigh_outage
 from .errors import DomainError, NumericError
 from .finite_blocklength import SnrValue
 from .linearization import LinConvention, linearize
-from .protocols import Backend, ProtocolKind, TopologyConfig, protocol_outage
+from .protocols import Backend, BackendKind, ProtocolKind, TopologyConfig, protocol_outage
 
 # Only ``validate`` calls the oracles, which load scipy.
 fading_outage_mc = lazy_binding(globals(), "fbrelay.oracles", "fading_outage_mc")
@@ -52,32 +56,21 @@ linearized_outage_quadrature = lazy_binding(
     globals(), "fbrelay.oracles", "linearized_outage_quadrature"
 )
 
-CSV_FIELDS = (
-    "schema_version",
-    "protocol",
-    "backend",
-    "convention",
-    "snr_db",
-    "eta",
-    "beta",
-    "alpha",
-    "n_s",
-    "n_r",
-    "k",
-    "rate",
-    "outage",
-    "std_error",
-    "error",
+CSV_FIELDS = ("schema_version",) + tuple(
+    f.name for f in dataclasses.fields(SweepRow) if f.name != "schema_version"
 )
 
 #: The leading columns, which hold one value across a whole region map.
 _HEAD = CSV_FIELDS.index("n_s")
 
 _ALL_PROTOCOLS = tuple(p.value for p in ProtocolKind)
-_BACKEND_CHOICES = ("closed", "quad", "mc")
+_BACKEND_CHOICES = tuple(b.value for b in BackendKind)
 
 #: Parameters that configure output plumbing, not the computation.
-_ECHO_SKIP = frozenset({"config", "as_json", "output"})
+_ECHO_SKIP = frozenset({"as_json", "output"})
+
+#: Echo tag of each value's origin; anything else is a built-in default.
+_SOURCE_TAGS = {ParameterSource.COMMANDLINE: "flag", ParameterSource.DEFAULT_MAP: "config"}
 
 
 class _IntCount(click.ParamType):
@@ -119,50 +112,32 @@ def _guarded(fn):
     return wrapper
 
 
-def _apply_config_file(ctx: click.Context) -> "dict[str, str]":
-    """Fold a JSON config file under explicit flags; returns per-param source tags.
+def _load_config(ctx: click.Context, param: click.Parameter, path: "str | None") -> None:
+    """Make a JSON config file the command's default map (flags still win).
 
-    Precedence: command-line flag > config file entry > built-in default.
     Unknown keys in the file are an error, not a silent no-op.
     """
-    sources: "dict[str, str]" = {}
-    path = ctx.params.get("config")
-    data: "dict[str, object]" = {}
-    if path is not None:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                loaded = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise click.UsageError(f"--config: cannot read {path!r}: {exc}") from exc
-        if not isinstance(loaded, dict):
-            raise click.UsageError("--config: file must contain a JSON object")
-        known = {p.name for p in ctx.command.params if p.name != "config"}
-        for key in loaded:
-            if key.replace("-", "_") not in known:
-                raise click.UsageError(f"--config: unknown key {key!r}")
-        data = {k.replace("-", "_"): v for k, v in loaded.items()}
-
-    for param in ctx.command.params:
-        name = param.name
-        if name == "config":
-            continue
-        src = ctx.get_parameter_source(name)
-        if src is ParameterSource.COMMANDLINE:
-            sources[name] = "flag"
-        elif name in data:
-            value = data[name]
-            if param.multiple and not isinstance(value, (list, tuple)):
-                value = [value]
-            if param.multiple:
-                ctx.params[name] = tuple(
-                    param.type.convert(v, param, ctx) for v in value
-                )
-            else:
-                ctx.params[name] = param.type.convert(value, param, ctx)
-            sources[name] = "config"
-        else:
-            sources[name] = "default"
-    return sources
+    if path is None:
+        return
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            loaded = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise click.UsageError(f"--config: cannot read {path!r}: {exc}") from exc
+    if not isinstance(loaded, dict):
+        raise click.UsageError("--config: file must contain a JSON object")
+    options = {option.name: option for option in ctx.command.params if option.expose_value}
+    defaults = {}
+    for key, value in loaded.items():
+        name = key.replace("-", "_")
+        if name not in options:
+            raise click.UsageError(f"--config: unknown key {key!r}")
+        if value is None:
+            raise click.UsageError(f"--config: {key!r} must not be null")
+        if options[name].multiple and not isinstance(value, list):
+            value = [value]
+        defaults[name] = value
+    ctx.default_map = defaults
 
 
 def _fmt(value) -> str:
@@ -186,20 +161,15 @@ def _csv_line(values) -> str:
 
 
 def _emit(
-    rows: "list[tuple]",
-    ctx: click.Context,
-    sources: "dict[str, str]",
-    extra: "dict[str, object] | None" = None,
+    rows: "list[tuple]", ctx: click.Context, extra: "dict[str, object] | None" = None
 ) -> None:
     """Render rows (tuples in CSV_FIELDS order) as commented CSV or JSON,
     to stdout or --output."""
     p = ctx.params
+    echoed = [param.name for param in ctx.command.params
+              if param.expose_value and param.name not in _ECHO_SKIP]
     if p.get("as_json"):
-        config = {
-            name: (list(v) if isinstance(v := p[name], tuple) else v)
-            for name in sources
-            if name not in _ECHO_SKIP
-        }
+        config = {name: (list(v) if isinstance(v := p[name], tuple) else v) for name in echoed}
         doc: "dict[str, object]" = {"schema_version": SCHEMA_VERSION, "config": config}
         if extra:
             doc.update(extra)
@@ -214,9 +184,8 @@ def _emit(
     else:
         buf = io.StringIO()
         buf.write(f"# schema_version = {SCHEMA_VERSION}\n")
-        for name, source in sources.items():
-            if name in _ECHO_SKIP:
-                continue
+        for name in echoed:
+            source = _SOURCE_TAGS.get(ctx.get_parameter_source(name), "default")
             buf.write(f"# {name} = {_fmt(p[name])} ({source})\n")
         if extra:
             for key, value in extra.items():
@@ -291,7 +260,8 @@ def _config_options(fn):
         click.option("--seed", type=INT_COUNT, default=None, help="Monte Carlo seed (mc backend)."),
         click.option("--allow-short", is_flag=True, default=False,
                      help="Permit blocklengths under 100 (accuracy degrades)."),
-        click.option("--config", type=click.Path(), default=None,
+        click.option("--config", type=click.Path(), is_eager=True, expose_value=False,
+                     callback=_load_config,
                      help="JSON file of option defaults (flags still win)."),
         click.option("--json", "as_json", is_flag=True, default=False,
                      help="Emit a JSON document instead of commented CSV."),
@@ -319,7 +289,6 @@ def main() -> None:
 @_guarded
 def cmd_outage(ctx: click.Context, **_kw) -> None:
     """Evaluate one configuration and print a single record."""
-    sources = _apply_config_file(ctx)
     p = ctx.params
     cfg = _build_topology(p)
     backend = _build_backends(p)[0]
@@ -328,7 +297,7 @@ def cmd_outage(ctx: click.Context, **_kw) -> None:
     # one-shot evaluation surfaces failures as exit codes, not NaN rows
     est = protocol_outage(protocol, cfg, backend, convention)
     row = SweepRow.from_cell(protocol, cfg, backend, convention, est.value, est.std_error)
-    _emit([_fields(row)], ctx, sources)
+    _emit([_fields(row)], ctx)
 
 
 @main.command("sweep")
@@ -346,7 +315,6 @@ def cmd_outage(ctx: click.Context, **_kw) -> None:
 @_guarded
 def cmd_sweep(ctx: click.Context, **_kw) -> None:
     """Walk one axis and print a record per (value, protocol, backend) cell."""
-    sources = _apply_config_file(ctx)
     p = ctx.params
     points = int(p["points"])
     if points < 1:
@@ -372,7 +340,7 @@ def cmd_sweep(ctx: click.Context, **_kw) -> None:
 
     rows = sweep(list(p["protocol"]), base, lib_axis, lib_values, backends,
                  str(p["convention"]))
-    _emit([_fields(row) for row in rows], ctx, sources)
+    _emit([_fields(row) for row in rows], ctx)
 
 
 @main.command("optimize-eta")
@@ -387,7 +355,6 @@ def cmd_sweep(ctx: click.Context, **_kw) -> None:
 @_guarded
 def cmd_optimize_eta(ctx: click.Context, **_kw) -> None:
     """Search the power split; per protocol, print the profile plus the optimum row."""
-    sources = _apply_config_file(ctx)
     p = ctx.params
     cfg = _build_topology(p)
     backend = _build_backend(str(p["backend"]), p)
@@ -399,7 +366,6 @@ def cmd_optimize_eta(ctx: click.Context, **_kw) -> None:
 
     rows: "list[SweepRow]" = []
     summaries: "list[dict[str, object]]" = []
-    extra: "dict[str, object]" = {}
     for name in p["protocol"]:
         result = optimize_eta(
             name, cfg, backend, convention,
@@ -408,21 +374,14 @@ def cmd_optimize_eta(ctx: click.Context, **_kw) -> None:
         rows.extend(as_row(result.protocol, eta, eps) for eta, eps in result.profile)
         # final row per protocol is the refined optimum itself
         rows.append(as_row(result.protocol, result.eta_star, result.eps_star))
-        summaries.append(
-            {
-                "protocol": result.protocol.value,
-                "eta_star": result.eta_star,
-                "eps_star": result.eps_star,
-                "multimodal": result.multimodal,
-            }
-        )
-        tag = f"{result.protocol.value}_optimum"
-        extra[tag] = (
-            f"eta_star={result.eta_star!r} eps_star={result.eps_star!r} "
-            f"multimodal={result.multimodal}"
-        )
-    _emit([_fields(row) for row in rows], ctx, sources,
-          extra={"summaries": summaries} if p.get("as_json") else extra)
+        summaries.append({"protocol": result.protocol.value, "eta_star": result.eta_star,
+                          "eps_star": result.eps_star, "multimodal": result.multimodal})
+    extra = {"summaries": summaries} if p.get("as_json") else {
+        f"{summary['protocol']}_optimum": " ".join(
+            f"{key}={summary[key]!r}" for key in ("eta_star", "eps_star", "multimodal"))
+        for summary in summaries
+    }
+    _emit([_fields(row) for row in rows], ctx, extra)
 
 
 @main.command("region")
@@ -443,7 +402,6 @@ def cmd_optimize_eta(ctx: click.Context, **_kw) -> None:
 @_guarded
 def cmd_region(ctx: click.Context, **_kw) -> None:
     """Map success probability over an (n, k) grid; one record per cell."""
-    sources = _apply_config_file(ctx)
     p = ctx.params
     if int(p["k_step"]) < 1 or int(p["n_step"]) < 1:
         raise click.UsageError("--k-step and --n-step must be >= 1")
@@ -462,22 +420,21 @@ def cmd_region(ctx: click.Context, **_kw) -> None:
         allow_short=bool(p["allow_short"]),
         optimize_power_split=bool(p["optimize_power_split"]),
     )
-    cell_errors = {}
-    for msg in grid.errors:
-        head, _, detail = msg.partition(": ")
-        cell_errors[head] = detail
+    # grid.errors holds one reason per NaN cell, in row-major order
+    reasons = iter(grid.errors)
     head = (SCHEMA_VERSION, grid.protocol.value, backend.label, grid.convention.value,
             grid.snr.to_db(), grid.eta, float(p["beta"]), float(p["alpha"]))
     rows = []
     for n, successes in zip(grid.n_values, grid.success):
         for k, success in zip(grid.k_values, successes):
+            failed = math.isnan(success)
             rows.append(head + (
                 n, n, k, k / n,
-                (1.0 - success) if not math.isnan(success) else math.nan,
+                math.nan if failed else 1.0 - success,
                 None,
-                cell_errors.get(f"n={n} k={k}") if cell_errors else None,
+                next(reasons).partition(": ")[2] if failed else None,
             ))
-    _emit(rows, ctx, sources)
+    _emit(rows, ctx)
 
 
 # --- validate -------------------------------------------------------------

@@ -200,6 +200,9 @@ def outage_given_snr(n: int, rate: float, rho: float) -> float:
     if rho <= 0.0:
         return 1.0
     num = math.log1p(rho) - rate * LN2
-    arg = math.sqrt(n) * num * (1.0 + rho) / math.sqrt(rho * (2.0 + rho))
+    spread = rho * (2.0 + rho)
+    # above rho ~ 1.3e154 the product overflows; split the root only there
+    root = math.sqrt(spread) if spread != math.inf else math.sqrt(rho) * math.sqrt(2.0 + rho)
+    arg = math.sqrt(n) * num * (1.0 + rho) / root
     # erfc underflows to 0 beyond ~±38 sigma, exactly the right limits here
     return 0.5 * float(erfc(arg / math.sqrt(2.0)))

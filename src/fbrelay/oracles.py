@@ -47,7 +47,7 @@ from scipy.special import erfc
 
 from ._estimates import EstimateMethod, ExponentialDensity, OutageEstimate
 from .closed_form import HypoexpParams, hypoexp_cdf, hypoexp_pdf
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, NumericError
 from .finite_blocklength import LN2, SnrValue, _check_code, outage_given_snr
 from .linearization import LinearizationParams, RampSlope, ramp_coefficients
 
@@ -221,8 +221,15 @@ def _integrate_pieces(integrand, cuts: "list[float]", abs_tol: float) -> float:
 def _transition_window(n: int, rate: float) -> "tuple[float, float, float]":
     """(w0, w_lo, w_hi): the SNR where the conditional error crosses 1/2 and
     the points where its Gaussian argument saturates at ±42 sigma."""
+    try:
+        spread = math.expm1(2.0 * rate * LN2)  # 2^(2 rate) - 1, the first to overflow
+    except OverflowError:
+        raise NumericError(
+            f"true-tail quadrature: transition window overflowed double precision "
+            f"(n={n}, rate={rate!r})"
+        ) from None
     w0 = math.expm1(rate * LN2)  # 2^rate - 1
-    slope = math.sqrt(n / math.expm1(2.0 * rate * LN2))  # d(argument)/dw at w0
+    slope = math.sqrt(n / spread)  # d(argument)/dw at w0
     width = _SATURATION_SIGMAS / slope
     return w0, max(0.0, w0 - width), w0 + width
 

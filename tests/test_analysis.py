@@ -75,6 +75,15 @@ class TestSweep:
         assert "blocklength" in rows[0].error
         assert rows[1].error is None and rows[1].outage > 0.0
 
+    def test_quadrature_overflow_becomes_error_row(self):
+        with pytest.warns(UserWarning, match="n=1"):
+            cfg = TopologyConfig(total_snr=TEN_DB, eta=0.5, n_s=1, n_r=1, k=600,
+                                 allow_short=True)
+            (row,) = sweep("dt", cfg, "eta", [0.5], Backend.quadrature())
+        assert math.isnan(row.outage)
+        assert row.error == ("true-tail quadrature: transition window overflowed double "
+                             "precision (n=1, rate=600.0)")
+
     def test_empty_protocols_rejected(self):
         with pytest.raises(DomainError):
             sweep([], BASE_CFG, "eta", [0.5], Backend.closed_form())

@@ -32,6 +32,16 @@ def parse_csv(output: str):
     return comments, rows
 
 
+def echo_tags(comments):
+    """{option: source tag} from the echo block's ``# name = value (tag)`` lines."""
+    tags = {}
+    for line in comments:
+        if " = " in line and "(" in line:
+            name = line[2:].split(" = ")[0]
+            tags[name] = line.rsplit("(", 1)[1].rstrip(")")
+    return tags
+
+
 class TestOutage:
     def test_happy_path_schema(self, runner):
         result = runner.invoke(main, ["outage", "--protocol", "dt"])
@@ -53,11 +63,7 @@ class TestOutage:
         )
         assert result.exit_code == 0
         comments, rows = parse_csv(result.output)
-        tags = {}
-        for line in comments:
-            if " = " in line and "(" in line:
-                name = line[2:].split(" = ")[0]
-                tags[name] = line.rsplit("(", 1)[1].rstrip(")")
+        tags = echo_tags(comments)
         assert tags["snr_db"] == "flag"
         assert tags["eta"] == "config"
         assert tags["k"] == "config"
@@ -120,6 +126,13 @@ class TestOutage:
                                           "--k", "80", "--allow-short"])
         assert result.exit_code == 3
         assert "NumericError: mrc_pair_outage: exp overflowed" in result.output
+
+    def test_quadrature_overflow_exits_3(self, runner):
+        with pytest.warns(UserWarning, match="n=1"):
+            result = runner.invoke(main, ["outage", "--backend", "quad", "--protocol", "dt",
+                                          "--n", "1", "--k", "600", "--allow-short"])
+        assert result.exit_code == 3
+        assert "NumericError: true-tail quadrature: transition window overflowed" in result.output
 
     def test_mc_backend_round_trips_exactly(self, runner):
         args = ["outage", "--protocol", "df", "--backend", "mc",
@@ -288,6 +301,30 @@ class TestGroupPlumbing:
                    "--start", "0", "--stop", "10", "--points", "2.5"]
         )
         assert result.exit_code == 2
+
+    def test_required_options_from_config_alone(self, runner, tmp_path):
+        required = {
+            "sweep": {"start": 0, "stop": 10, "points": 3, "protocol": "dt"},
+            "region": {"k_min": 20, "k_max": 40, "k_step": 10, "n-min": 200, "n-max": 300,
+                       "n-step": 100},
+        }
+        for command, values in required.items():
+            conf = tmp_path / f"{command}.json"
+            conf.write_text(json.dumps(values))
+            result = runner.invoke(main, [command, "--config", str(conf)])
+            assert result.exit_code == 0, result.output
+            comments, rows = parse_csv(result.output)
+            tags = echo_tags(comments)
+            assert all(tags[key.replace("-", "_")] == "config" for key in values)
+            assert tags["snr_db"] == "default"
+            assert len(rows) == (3 if command == "sweep" else 6)
+
+    def test_null_config_value_rejected(self, runner, tmp_path):
+        conf = tmp_path / "c.json"
+        conf.write_text(json.dumps({"eta": None}))
+        result = runner.invoke(main, ["outage", "--config", str(conf)])
+        assert result.exit_code == 2
+        assert "--config: 'eta' must not be null" in result.output
 
     def test_nan_outage_becomes_null_in_json(self, runner):
         result = runner.invoke(

@@ -1,9 +1,11 @@
 """The CLI's output against a byte-for-byte record.
 
 ``tests/data/cli_fixture.json`` was written by ``scripts/cli_fixture.py``
-from the commit before the oracles and scipy were imported lazily.  Every
-recorded invocation must give the same exit code, the same stdout and the
-same ``--output`` file, byte for byte.
+from the commit before the oracles and scipy were imported lazily; the
+``region_failed_cells_*`` and ``config_*`` cases were added from the commit
+before the config file went through click's default map.  Every recorded
+invocation must give the same exit code, the same stdout, the same
+``--output`` file and, where recorded, the same stderr, byte for byte.
 """
 
 from __future__ import annotations
@@ -25,8 +27,10 @@ FIXTURE = json.loads(
 
 @pytest.mark.parametrize("case", FIXTURE["cases"], ids=lambda c: c["name"])
 def test_output_matches_the_record(case):
-    code, stdout, written = run_case(case["argv"])
+    code, stdout, stderr, written = run_case(case["argv"], case.get("files"))
     assert code == case["exit_code"]
     assert stdout == case["stdout"].encode("utf-8")
+    if "stderr" in case:
+        assert stderr == case["stderr"].encode("utf-8")
     recorded = case["output_file"]
     assert written == (None if recorded is None else recorded.encode("utf-8"))

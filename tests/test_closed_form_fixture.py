@@ -213,10 +213,10 @@ class TestErrorParity:
             warnings.simplefilter("ignore")
             grid = self.region(allow_short)
             assert list(grid.errors) == self.scalar_errors(allow_short)
-        failed = {tuple(int(t.split("=")[1]) for t in e.split(": ")[0].split()) for e in grid.errors}
-        nan = {(n, k) for i, n in enumerate(grid.n_values) for j, k in enumerate(grid.k_values)
-               if math.isnan(grid.success[i][j])}
-        assert failed == nan
+        # the RegionGrid contract: one reason per NaN cell, in row-major order
+        nan = [f"n={n} k={k}" for i, n in enumerate(grid.n_values)
+               for j, k in enumerate(grid.k_values) if math.isnan(grid.success[i][j])]
+        assert [e.split(": ")[0] for e in grid.errors] == nan
         assert any(OVERFLOW in e for e in grid.errors) is allow_short
 
     def test_failed_cells_match_the_fixture(self):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import pytest
 from hypothesis import given, strategies as st
@@ -153,3 +154,10 @@ class TestOutageGivenSnr:
     def test_saturates_cleanly(self):
         assert outage_given_snr(500, 0.5, 1e12) == 0.0
         assert outage_given_snr(500, 8.0, 1e-12) == 1.0
+
+    @pytest.mark.parametrize("rho", [1e160, 1e305])
+    def test_huge_snr_past_the_product_overflow(self, rho):
+        # rho * (2 + rho) is inf here; it read 0.5 at 1e160 and NaN at 1e305
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert outage_given_snr(500, 0.5, rho) == 0.0

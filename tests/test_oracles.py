@@ -20,6 +20,7 @@ from fbrelay import (
     EstimateMethod,
     ExponentialDensity,
     HypoexpParams,
+    NumericError,
     OutageEstimate,
     fading_outage_mc,
     fading_outage_quadrature,
@@ -224,6 +225,12 @@ class TestTrueTailQuadrature:
     def test_domain_errors(self, n, rate):
         with pytest.raises(DomainError):
             fading_outage_quadrature(n, rate, 10.0)
+
+    @pytest.mark.parametrize("oracle", [fading_outage_quadrature, fading_outage_quadrature_fixed])
+    def test_window_overflow_is_a_numeric_error(self, oracle):
+        # 2^(2 rate) - 1 overflows above 512 bits per use
+        with pytest.raises(NumericError, match=r"\(n=1, rate=600\.0\)"):
+            oracle(1, 600.0, 10.0)
 
 
 class TestLinearizedQuadrature:
