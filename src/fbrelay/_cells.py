@@ -67,7 +67,12 @@ POINT = _Point()
 
 
 def _item(value, i: int):
-    return value[i].item() if isinstance(value, np.ndarray) else value
+    """Cell i's entry of a per-cell argument (an array), or a shared one.
+    An object array holds its entries as they are (a list, say)."""
+    if not isinstance(value, np.ndarray):
+        return value
+    entry = value[i]
+    return entry.item() if isinstance(entry, np.generic) else entry
 
 
 class Grid:

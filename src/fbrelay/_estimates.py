@@ -71,6 +71,9 @@ class OutageEstimate:
             raise DomainError(f"{self.method.value} estimates carry no sampling metadata")
 
 
+EXPONENTIAL_MEAN_MESSAGE = "exponential mean must be positive and finite, got {!r}"
+
+
 @dataclass(frozen=True)
 class ExponentialDensity:
     """Exponential SNR density with the given mean (one Rayleigh link)."""
@@ -79,7 +82,7 @@ class ExponentialDensity:
 
     def __post_init__(self) -> None:
         if not (isinstance(self.mean, (int, float)) and math.isfinite(self.mean) and self.mean > 0):
-            raise DomainError(f"exponential mean must be positive and finite, got {self.mean!r}")
+            raise DomainError(EXPONENTIAL_MEAN_MESSAGE.format(self.mean))
         object.__setattr__(self, "mean", float(self.mean))
 
     def pdf(self, w: float) -> float:

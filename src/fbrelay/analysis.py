@@ -18,7 +18,8 @@ every backend: a sweep once per protocol and backend, a power-split
 search's coarse scan once, and a fixed-split region map once.  The values
 are bit for bit those of per-cell evaluation, and so are the failed cells
 and their messages.  How a batch is evaluated is the protocol layer's
-business (the closed form in one grid call, the oracles cell by cell).
+business (the closed form in one grid call, quadrature in one batched
+integration per link, Monte Carlo cell by cell).
 The golden-section steps and per-cell split optimization stay per cell.
 """
 

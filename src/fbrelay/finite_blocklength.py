@@ -118,12 +118,16 @@ class RateSpec:
         return self.k / self.n
 
 
+BLOCKLENGTH_MESSAGE = "blocklength must be >= 1, got {!r}"
+RATE_MESSAGE = "rate must be a positive finite number, got {!r}"
+
+
 def _check_code(n: int, rate: "float | None" = None) -> None:
     """Reject n below 1, then (when given) a rate that is not positive and finite."""
     if n < 1:
-        raise DomainError(f"blocklength must be >= 1, got {n!r}")
+        raise DomainError(BLOCKLENGTH_MESSAGE.format(n))
     if rate is not None and (not (rate > 0.0) or not math.isfinite(rate)):
-        raise DomainError(f"rate must be a positive finite number, got {rate!r}")
+        raise DomainError(RATE_MESSAGE.format(rate))
 
 
 def shannon_capacity(rho: "SnrValue | float") -> float:

@@ -16,15 +16,21 @@ share code with the closed forms they validate:
   smaller variance than thresholded packet outcomes; a Bernoulli mode is
   available for packet-level realism.
 
-Both adaptive quadratures run a vectorized, globally budgeted 21-point Gauss-Kronrod
-rule (QUADPACK's qk21 nodes and weights) on array integrands.  Every cut
-interval starts as equal panels; each pass evaluates all open panels in one
-array call of the integrand, accepts a panel once its Kronrod-minus-Gauss
-difference is within abs_tol times its share of the total width, and
-bisects the rest.  A panel cap bounds the work; reaching it, or a
-non-finite panel sum, raises ConvergenceError.  The fixed-rule cross-check
-fading_outage_quadrature_fixed keeps composite Gauss-Legendre on a scalar
-integrand, so it shares neither scheme nor arithmetic with them.
+Both adaptive quadratures run one integrator, ``_integrate``: a vectorized
+21-point Gauss-Kronrod rule (QUADPACK's qk21 nodes and weights) over a batch
+of integrals, each with its own cuts and its own error budget; a single
+oracle call is a batch of one.  Every cut interval starts as equal panels;
+each pass evaluates the open panels of every integral in one array call of
+the integrand, accepts a panel once its Kronrod-minus-Gauss difference is
+within abs_tol times its share of its integral's total width, and bisects
+the rest.  A panel cap per integral bounds the work; reaching it, or a
+non-finite panel sum, fails that integral alone with ConvergenceError.  An
+integral's value does not depend on the batch it is in, bit for bit.
+true_tail_outages runs fading_outage_quadrature over the cells of a
+``_cells.Grid`` (the protocol layer's batches), a fixed number of cells per
+integrator call.  The fixed-rule cross-check fading_outage_quadrature_fixed
+keeps composite Gauss-Legendre on a scalar integrand, so it shares neither
+scheme nor arithmetic with them.
 
 Monte Carlo reproducibility contract: the estimate is a pure function of
 (seed, trials, partitions, stream).  Each partition owns a counter-based
@@ -45,10 +51,18 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 from scipy.special import erfc
 
+from ._cells import INF, POINT
 from ._estimates import EstimateMethod, ExponentialDensity, OutageEstimate
 from .closed_form import HypoexpParams, hypoexp_cdf, hypoexp_pdf
 from .errors import ConvergenceError, DomainError, NumericError
-from .finite_blocklength import LN2, SnrValue, _check_code, outage_given_snr
+from .finite_blocklength import (
+    BLOCKLENGTH_MESSAGE,
+    LN2,
+    RATE_MESSAGE,
+    SnrValue,
+    _check_code,
+    outage_given_snr,
+)
 from .linearization import LinearizationParams, RampSlope, ramp_coefficients
 
 #: Environment variable capping worker threads for partitioned sampling.
@@ -139,6 +153,19 @@ def _as_density(channel) -> "ExponentialDensity | HypoexpParams":
     raise DomainError(f"cannot interpret {channel!r} as a channel density")
 
 
+def _exponential_pdf(mean, w: np.ndarray) -> np.ndarray:
+    return np.exp(-w / mean) / mean
+
+
+def _erlang_pdf(mean, w: np.ndarray) -> np.ndarray:
+    return (w / (mean * mean)) * np.exp(-w / mean)
+
+
+def _hypoexp_pdf_np(big, small, w: np.ndarray) -> np.ndarray:
+    gap = big - small
+    return np.exp(-w / big) * -np.expm1(-w * (gap / (big * small))) / gap
+
+
 def _density_pdf(density, w: np.ndarray) -> np.ndarray:
     """Array twin of ExponentialDensity.pdf and hypoexp_pdf, for w >= 0.
 
@@ -147,16 +174,15 @@ def _density_pdf(density, w: np.ndarray) -> np.ndarray:
     value of hypoexp_pdf's difference of exponentials without its
     cancellation near w = 0 and near equal means.  That cancellation is
     rounding noise, which adaptive quadrature would try to resolve by
-    subdivision.
+    subdivision.  The three formulas take their parameters as scalars or as
+    columns, one row per panel, with the same arithmetic either way.
     """
     if isinstance(density, ExponentialDensity):
-        return np.exp(-w / density.mean) / density.mean
+        return _exponential_pdf(density.mean, w)
     oz, oy = density.omega_z, density.omega_y
     if density.equal_means:
-        return (w / (oz * oz)) * np.exp(-w / oz)
-    big, small = max(oz, oy), min(oz, oy)
-    gap = big - small
-    return np.exp(-w / big) * -np.expm1(-w * (gap / (big * small))) / gap
+        return _erlang_pdf(oz, w)
+    return _hypoexp_pdf_np(max(oz, oy), min(oz, oy), w)
 
 
 def _density_cdf(density, w: float) -> float:
@@ -178,66 +204,187 @@ def _check_abs_tol(abs_tol: float) -> float:
     return float(abs_tol)
 
 
-def _integrate_pieces(integrand, cuts: "list[float]", abs_tol: float) -> float:
-    """Adaptive Gauss-Kronrod quadrature over consecutive [cuts[i], cuts[i+1]].
+#: Cells whose integrals true_tail_outages passes to one _integrate call:
+#: a large batch runs in chunks of this many, which bounds its memory.
+_CHUNK = 32
 
-    integrand maps an array of abscissae to an array of values.  The error
-    budget is global: a panel is accepted once |K21 - G10| is at most abs_tol
-    times its share of the total width, so the differences of all accepted
-    panels add up to at most abs_tol.
+#: _integrate's outcome per integral.
+_CONVERGED, _NON_FINITE, _CAPPED = 0, 1, 2
+
+
+def _lengths(counts: np.ndarray) -> "list[int]":
+    """The distinct positive entries of counts."""
+    return sorted(set(counts.tolist()) - {0})
+
+
+def _panel_sums(values: np.ndarray, owner: np.ndarray, size: int) -> np.ndarray:
+    """The (Kronrod, Gauss) rule of each panel, on [-1, 1].
+
+    BLAS gives a row of ``values @ _GK21_WEIGHTS`` bits that depend on the
+    number of rows in the call, while a stack of equal shapes gives each
+    slice the bits of its own call.  So the panels of the integrals with
+    the same open-panel count go through one stacked matmul.
     """
-    edges = np.asarray(cuts, dtype=float)
-    keep = edges[1:] > edges[:-1]
-    lo, hi = edges[:-1][keep], edges[1:][keep]
-    if lo.size == 0:
-        return 0.0
-    tol_per_width = abs_tol / float(np.sum(hi - lo))
+    if owner[0] == owner[-1]:  # one integral
+        return values @ _GK21_WEIGHTS
+    counts = np.bincount(owner, minlength=size)
+    lengths = _lengths(counts)
+    if len(lengths) == 1:
+        return (values.reshape(-1, lengths[0], values.shape[1]) @ _GK21_WEIGHTS).reshape(-1, 2)
+    sums = np.empty((len(values), 2))
+    for c in lengths:
+        rows = (counts == c)[owner]
+        sums[rows] = (values[rows].reshape(-1, c, values.shape[1]) @ _GK21_WEIGHTS).reshape(-1, 2)
+    return sums
+
+
+def _add_sums(totals: np.ndarray, values: np.ndarray, owner: np.ndarray) -> None:
+    """Add to totals[j] the np.sum of owner j's values, which lie in owner
+    order.  The owners with the same number of values are summed as the
+    rows of one matrix: np.sum reduces each row of a matrix as it reduces
+    that row alone, so every owner gets the bits of its own np.sum."""
+    if not owner.size:
+        return
+    if owner[0] == owner[-1]:  # one owner
+        totals[owner[0]] += values.sum()
+        return
+    counts = np.bincount(owner, minlength=totals.size)
+    for m in _lengths(counts):
+        rows = counts == m
+        totals[rows] += values[rows[owner]].reshape(-1, m).sum(axis=1)
+
+
+def _sum_in_order(values: "list[float]") -> float:
+    """np.sum of the values, bit for bit: numpy adds fewer than 8 terms one
+    by one, from the left, as Python's sum does."""
+    return sum(values) if len(values) < 8 else float(np.sum(values))
+
+
+def _integrate(integrand, cuts: "list[list[float]]", abs_tol: float):
+    """Adaptive Gauss-Kronrod quadrature of a batch of integrals.
+
+    Integral j runs over the consecutive intervals [cuts[j][i],
+    cuts[j][i+1]], empty ones skipped.  integrand(owner, x) maps abscissae x,
+    one row per panel, to values, where owner[r] is the integral that row r
+    belongs to.  Each integral has its own error budget: a panel is
+    accepted once |K21 - G10| is at most abs_tol times its share of that
+    integral's total width, so the differences of its accepted panels add
+    up to at most abs_tol.
+
+    Returns (totals, status).  status[j] is _CONVERGED, _NON_FINITE (a
+    panel sum was not finite) or _CAPPED (more than _PANEL_LIMIT panels
+    were needed); totals[j] is meaningful only for _CONVERGED.  Each pass
+    evaluates the open panels of all integrals in one integrand call, so a
+    caller keeps a batch's arrays bounded by passing at most _CHUNK
+    integrals.  An integral's arithmetic is the same in any batch, so its
+    total is bit for bit what it is alone: its panels keep their order
+    (after a bisection, the left halves and then the right halves), its
+    panel sums come from a matmul of its own shape (see _panel_sums), and
+    its accepted panels are summed in order, pass by pass.
+    """
+    size = len(cuts)
+    totals, status = np.zeros(size), np.zeros(size, dtype=np.int8)
+    lo, hi, owner, tol_per_width = [], [], [], []
+    most = 0  # intervals of the integral with the most
+    for j, edges in enumerate(cuts):
+        widths = []
+        for a, b in zip(edges, edges[1:]):
+            if b > a:
+                lo.append(a)
+                hi.append(b)
+                owner.append(j)
+                widths.append(b - a)
+        tol_per_width.append(abs_tol / _sum_in_order(widths) if widths else 0.0)
+        most = max(most, len(widths))
+    if not lo:
+        return totals, status
+    lo, hi, tol_per_width = np.array(lo, dtype=float), np.array(hi, dtype=float), np.array(tol_per_width)
     grid = lo[:, None] + (hi - lo)[:, None] * (np.arange(_START_PANELS + 1) / _START_PANELS)
     left, right = grid[:, :-1].ravel(), grid[:, 1:].ravel()
     mid, half = 0.5 * (left + right), 0.5 * (right - left)
-    panels = mid.size
-    total = 0.0
+    owner = np.array(owner).repeat(_START_PANELS)
+    # opened holds every panel opened so far, as its integral's index.  No
+    # integral has more panels than bound (the first pass's largest count
+    # plus all panels opened since), so they are counted only past the cap.
+    opened = [owner]
+    bound = _START_PANELS * most
     while True:
-        values = integrand(mid[:, None] + half[:, None] * _GK21_NODES)
-        sums = (values @ _GK21_WEIGHTS) * half[:, None]  # columns: Kronrod, Gauss
-        if not np.all(np.isfinite(sums)):
-            raise ConvergenceError(
-                f"quadrature over {cuts!r} hit a non-finite panel sum"
-            )
-        done = np.abs(sums[:, 0] - sums[:, 1]) <= tol_per_width * (2.0 * half)
-        total += float(np.sum(sums[done, 0]))
-        mid, half = mid[~done], 0.5 * half[~done]
-        if mid.size == 0:
-            return total
-        panels += mid.size
-        if panels > _PANEL_LIMIT:
-            raise ConvergenceError(
-                f"quadrature over {cuts!r} needs more than {_PANEL_LIMIT} panels "
-                f"to reach abs_tol={abs_tol!r}"
-            )
+        values = integrand(owner, mid[:, None] + half[:, None] * _GK21_NODES)
+        sums = _panel_sums(values, owner, size) * half[:, None]  # columns: Kronrod, Gauss
+        done = np.abs(sums[:, 0] - sums[:, 1]) <= tol_per_width[owner] * (2.0 * half)
+        open_ = ~done
+        if not np.isfinite(sums).all():
+            failed = np.zeros(size, dtype=bool)
+            failed[owner[~np.isfinite(sums).all(axis=1)]] = True
+            status[failed] = _NON_FINITE
+            done &= ~failed[owner]
+            open_ &= ~failed[owner]
+        _add_sums(totals, sums[done, 0], owner[done])
+        owner, mid, half = owner[open_], mid[open_], 0.5 * half[open_]
+        if not owner.size:
+            return totals, status
+        opened.append(owner)
+        bound += owner.size
+        if bound > _PANEL_LIMIT:
+            capped = np.bincount(np.concatenate(opened), minlength=size) > _PANEL_LIMIT
+            capped &= status == _CONVERGED
+            if capped.any():
+                status[capped] = _CAPPED
+                open_ = ~capped[owner]
+                owner, mid, half = owner[open_], mid[open_], half[open_]
+                if not owner.size:
+                    return totals, status
         mid, half = np.concatenate((mid - half, mid + half)), np.concatenate((half, half))
+        if owner[0] != owner[-1]:  # more than one integral still open
+            order = np.concatenate((owner, owner)).argsort(kind="stable")  # each one's
+            mid, half = mid[order], half[order]  # left halves, then its right halves
+        owner = owner.repeat(2)
 
 
-def _transition_window(n: int, rate: float) -> "tuple[float, float, float]":
-    """(w0, w_lo, w_hi): the SNR where the conditional error crosses 1/2 and
-    the points where its Gaussian argument saturates at ±42 sigma."""
+def _integrate_one(integrand, cuts: "list[float]", abs_tol: float) -> float:
+    """One integral of integrand(x) over cuts: _integrate's batch of one,
+    raising ConvergenceError where it gives up."""
+    totals, status = _integrate(lambda _owner, x: integrand(x), [cuts], abs_tol)
+    _check_converged(POINT, status[0], cuts, abs_tol)
+    return float(totals[0])
+
+
+def _check_converged(cells, status, cuts, abs_tol: float) -> None:
+    """Fail where _integrate gave up, naming the integral's cuts."""
+    cells.fail(status == _NON_FINITE, ConvergenceError,
+               "quadrature over {!r} hit a non-finite panel sum", cuts)
+    cells.fail(status == _CAPPED, ConvergenceError,
+               "quadrature over {!r} needs more than {} panels to reach abs_tol={!r}",
+               cuts, _PANEL_LIMIT, abs_tol)
+
+
+def _expm1_or_inf(x: float) -> float:
     try:
-        spread = math.expm1(2.0 * rate * LN2)  # 2^(2 rate) - 1, the first to overflow
+        return math.expm1(x)
     except OverflowError:
-        raise NumericError(
-            f"true-tail quadrature: transition window overflowed double precision "
-            f"(n={n}, rate={rate!r})"
-        ) from None
-    w0 = math.expm1(rate * LN2)  # 2^rate - 1
-    slope = math.sqrt(n / spread)  # d(argument)/dw at w0
+        return INF
+
+
+def _transition_window(cells, n, rate):
+    """(w0, w_lo, w_hi): the SNR where the conditional error crosses 1/2 and
+    the points where its Gaussian argument saturates at ±42 sigma, at one
+    point or per cell of a Grid (see ``_cells``)."""
+    spread = cells.each(_expm1_or_inf, 2.0 * rate * LN2)  # 2^(2 rate) - 1, the first to overflow
+    cells.fail(spread == INF, NumericError,
+               "true-tail quadrature: transition window overflowed double precision "
+               "(n={}, rate={!r})", n, rate)
+    w0 = cells.each(math.expm1, rate * LN2)  # 2^rate - 1
+    slope = cells.sqrt(n / spread)  # d(argument)/dw at w0
     width = _SATURATION_SIGMAS / slope
-    return w0, max(0.0, w0 - width), w0 + width
+    w_lo = w0 - width
+    return w0, cells.where(w_lo > 0.0, w_lo, 0.0), w0 + width
 
 
-def _axis_cuts(n: int, rate: float, density) -> "tuple[float, list[float]]":
-    """(head, cuts) for a true-tail quadrature: the density's mass below the
-    saturated window, and the breakpoints to integrate over."""
-    w0, w_lo, w_hi = _transition_window(n, rate)
+def _axis_cuts(window: "tuple[float, float, float]", density) -> "tuple[float, list[float]]":
+    """(head, cuts) for a true-tail quadrature over one cell's window: the
+    density's mass below the saturated window, and the breakpoints to
+    integrate over."""
+    w0, w_lo, w_hi = window
     head = _density_cdf(density, w_lo) if w_lo > 0.0 else 0.0
     cuts = [w_lo, w0, w_hi]
     # If the density decays long before the transition, hint the mass scale
@@ -262,14 +409,79 @@ def fading_outage_quadrature(
     abs_tol = _check_abs_tol(abs_tol)
     _check_code(n, rate)
     density = _as_density(channel)
-    head, cuts = _axis_cuts(n, rate, density)
+    head, cuts = _axis_cuts(_transition_window(POINT, n, rate), density)
 
     def integrand(w: np.ndarray) -> np.ndarray:
         return _conditional_outage_np(n, rate, w) * _density_pdf(density, w)
 
-    value = head + _integrate_pieces(integrand, cuts, abs_tol)
+    value = head + _integrate_one(integrand, cuts, abs_tol)
     value = min(max(value, 0.0), 1.0)  # round-off at the saturated ends
     return OutageEstimate(value=value, method=EstimateMethod.QUAD_TRUE_Q)
+
+
+def true_tail_outages(cells, n, rate, omega_z, omega_y=None, abs_tol: float = 1e-10):
+    """fading_outage_quadrature over the live cells of a ``_cells.Grid``.
+
+    Cell i's channel is the combined link with branch means (omega_z[i],
+    omega_y[i]), or one Rayleigh link of mean SNR omega_z[i] where omega_y
+    is None or omega_y[i] is NaN; the means must be valid.  Each cell is
+    checked as that call checks it, and fails with the exception it
+    raises.  The integrals of _CHUNK cells at a time run through one
+    _integrate call, and each value is bit for bit the one that call
+    returns.  Returns the values, meaningless at failed cells.
+    """
+    abs_tol = _check_abs_tol(abs_tol)
+    cells.fail(n < 1, DomainError, BLOCKLENGTH_MESSAGE, n)  # _check_code, per cell
+    cells.fail((rate != rate) | (rate <= 0.0) | (rate == INF), DomainError, RATE_MESSAGE, rate)
+    window = _transition_window(cells, n, rate)
+    if omega_y is None:
+        omega_y = np.full(cells.alive.shape, np.nan)
+    value = np.full(cells.alive.shape, np.nan)
+    outcome = np.zeros(cells.alive.shape, dtype=np.int8)
+    failed_cuts = np.empty(cells.alive.shape, dtype=object)
+    live = np.flatnonzero(cells.alive)
+    for chunk in np.split(live, range(_CHUNK, live.size, _CHUNK)):
+        failed, status, value[chunk] = _true_tail_chunk(
+            n[chunk], rate[chunk], omega_z[chunk], omega_y[chunk],
+            [edge[chunk] for edge in window], abs_tol)
+        outcome[chunk] = status
+        for i, cut in zip(chunk[status != _CONVERGED].tolist(), failed):
+            failed_cuts[i] = cut
+    _check_converged(cells, outcome, failed_cuts, abs_tol)
+    return value
+
+
+def _true_tail_chunk(n, rate, z, y, window, abs_tol):
+    """(cuts of the failed integrals, status, values) of the true-tail
+    integrals of a few cells, given as columns (see true_tail_outages)."""
+    densities = [ExponentialDensity(a) if b != b else HypoexpParams(a, b)
+                 for a, b in zip(z.tolist(), y.tolist())]
+    heads, cuts = [], []
+    for edges, density in zip(zip(*(edge.tolist() for edge in window)), densities):
+        head, cut = _axis_cuts(edges, density)
+        heads.append(head)
+        cuts.append(cut)
+    single = y != y
+    equal = np.array([not s and d.equal_means for s, d in zip(single.tolist(), densities)],
+                     dtype=bool)
+    kinds = ((single, _exponential_pdf, (z,)),
+             (equal, _erlang_pdf, (z,)),
+             (~single & ~equal, _hypoexp_pdf_np, (np.maximum(z, y), np.minimum(z, y))))
+
+    def integrand(owner: np.ndarray, w: np.ndarray) -> np.ndarray:
+        values = _conditional_outage_np(n[owner][:, None], rate[owner][:, None], w)
+        for rows, pdf, params in kinds:
+            rows = rows[owner]
+            if rows.all():
+                return values * pdf(*(p[owner][:, None] for p in params), w)
+            if rows.any():
+                values[rows] *= pdf(*(p[owner[rows]][:, None] for p in params), w[rows])
+        return values
+
+    totals, status = _integrate(integrand, cuts, abs_tol)
+    failed = [cut for cut, s in zip(cuts, status.tolist()) if s != _CONVERGED]
+    value = np.array(heads) + totals
+    return failed, status, np.where(value < 0.0, 0.0, np.where(value > 1.0, 1.0, value))
 
 
 def fading_outage_quadrature_fixed(
@@ -291,7 +503,7 @@ def fading_outage_quadrature_fixed(
     if panels < 1 or order < 2:
         raise DomainError(f"need panels >= 1 and order >= 2, got {panels!r}, {order!r}")
     density = _as_density(channel)
-    head, cuts = _axis_cuts(n, rate, density)
+    head, cuts = _axis_cuts(_transition_window(POINT, n, rate), density)
     if isinstance(density, ExponentialDensity):
         pdf = density.pdf
     else:
@@ -342,7 +554,7 @@ def linearized_outage_quadrature(
     def integrand(t: np.ndarray) -> np.ndarray:
         return (0.5 - m * (t - theta)) * _density_pdf(density, t)
 
-    value = head + _integrate_pieces(integrand, cuts, abs_tol)
+    value = head + _integrate_one(integrand, cuts, abs_tol)
     value = min(max(value, 0.0), 1.0)
     return OutageEstimate(value=value, method=EstimateMethod.QUAD_LINEARIZED)
 
@@ -357,12 +569,14 @@ def _conditional_outage_np(n: int, rate: float, w: np.ndarray) -> np.ndarray:
     Where w * (2 + w) overflows (w above about 1.3e154), the factor
     (1 + w) / sqrt(w (2 + w)) is taken as (1 + w) / (sqrt(w) sqrt(2 + w)).
     """
-    if w.max() <= 1e154:  # no w * (2 + w) can overflow
+    if np.maximum.reduce(w, axis=None) <= 1e154:  # no w * (2 + w) can overflow
         return 0.5 * erfc(_q_argument(n, rate, w) / math.sqrt(2.0))
     with np.errstate(over="ignore", invalid="ignore"):
         arg = _q_argument(n, rate, w)
         huge = np.isinf(w * (2.0 + w))
         big = w[huge]
+        if np.ndim(n):  # one row of parameters per row of w
+            n, rate = np.broadcast_to(n, w.shape)[huge], np.broadcast_to(rate, w.shape)[huge]
         arg[huge] = np.sqrt(n) * (np.log1p(big) - rate * LN2) * (
             (1.0 + big) / (np.sqrt(big) * np.sqrt(2.0 + big)))
     return 0.5 * erfc(arg / math.sqrt(2.0))

@@ -25,10 +25,12 @@ true-tail quadrature, and seeded Monte Carlo — so each number can always be
 cross-examined by a slower, independent one.  One table holds each
 composition and its partial derivatives (for the Monte Carlo std_error),
 and one evaluator reads a scheme's links; a backend supplies only its link
-stage: the closed-form kernels over ``_cells`` objects, or the oracles at
-one point.  ``outages`` evaluates a whole ``TopologyCells`` batch on any
-backend, bit for bit as ``protocol_outage`` and failing per cell: the
-closed form in one grid call, the oracles cell by cell.
+stage: the closed-form kernels or the true-tail quadrature, at one point or
+over ``_cells`` grids, or Monte Carlo at one point.  ``outages`` evaluates a
+whole ``TopologyCells`` batch on any backend, bit for bit as
+``protocol_outage`` and failing per cell: the closed form in one grid call,
+quadrature in one grid call that integrates each link of all the cells
+together, Monte Carlo cell by cell.
 """
 
 from __future__ import annotations
@@ -40,7 +42,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._cells import INF, POINT, Grid
-from ._estimates import EstimateMethod, ExponentialDensity, OutageEstimate, lazy_binding
+from ._estimates import (
+    EXPONENTIAL_MEAN_MESSAGE,
+    EstimateMethod,
+    ExponentialDensity,
+    OutageEstimate,
+    lazy_binding,
+)
 from .closed_form import (
     MEAN_MESSAGE,
     HypoexpParams,
@@ -56,6 +64,7 @@ from .linearization import LinConvention
 # The oracles load scipy; the closed backend never calls them.
 fading_outage_mc = lazy_binding(globals(), "fbrelay.oracles", "fading_outage_mc")
 fading_outage_quadrature = lazy_binding(globals(), "fbrelay.oracles", "fading_outage_quadrature")
+true_tail_outages = lazy_binding(globals(), "fbrelay.oracles", "true_tail_outages")
 
 #: Per-link sampling streams: the Monte Carlo backend gives each link its
 #: own generator family so composed estimates use independent draws.
@@ -348,8 +357,35 @@ def _hop(cells, stage, n_r, rate_r, omega_rd, pow2m1, mu, half):
     return stage.link(cells, terms, n_r, rate_r, omega_rd, _STREAM_RD)[0]
 
 
-class _ClosedLinks:
+class _ValueLinks:
+    """A link stage whose links are plain values, at POINT or over a Grid."""
+
+    method: EstimateMethod
+
+    @staticmethod
+    def silent_hop(cells, *_):
+        return 1.0  # a silent relay's forward hop is a certain outage
+
+    def outage(self, compose, _partials, links) -> OutageEstimate:
+        return OutageEstimate(value=_compose(POINT, compose, links), method=self.method)
+
+
+def _check_mean(cells, omega, template: str, *names) -> None:
+    """The check of a density's mean: positive and finite."""
+    cells.fail((omega != omega) | (omega <= 0.0) | (omega == INF), DomainError,
+               template, *names, omega)
+
+
+def _check_means(cells, omega_z, omega_y) -> None:
+    """HypoexpParams' checks of its two means."""
+    _check_mean(cells, omega_z, MEAN_MESSAGE, "omega_z")
+    _check_mean(cells, omega_y, MEAN_MESSAGE, "omega_y")
+
+
+class _ClosedLinks(_ValueLinks):
     """The closed form's link stage: the kernels, at POINT or over a Grid."""
+
+    method = EstimateMethod.CLOSED_FORM
 
     def __init__(self, convention: LinConvention) -> None:
         self.convention = convention
@@ -358,34 +394,49 @@ class _ClosedLinks:
         return rayleigh_link(cells, terms, n, rate, omega, self.convention)
 
     @staticmethod
-    def silent_hop(cells, *_):
-        return 1.0  # a silent relay's forward hop is a certain outage
-
-    @staticmethod
     def pair(cells, _sd, omega_sd, omega_rd, n_s, n_r, rate_s, pow2m1, mu, half):
-        for name, omega in (("omega_z", omega_sd), ("omega_y", omega_rd)):
-            cells.fail((omega != omega) | (omega <= 0.0) | (omega == INF), DomainError,
-                       MEAN_MESSAGE, name, omega)
+        _check_means(cells, omega_sd, omega_rd)
         cells.fail(n_s != n_r, DomainError, _MIXED_FRAMING, n_s, n_r)
         return pair_link(cells, (pow2m1, mu, half), n_s, rate_s, omega_sd, omega_rd)
 
+
+class _QuadLinks(_ValueLinks):
+    """The true-tail quadrature link stage.  At POINT each link is one
+    fading_outage_quadrature call; over a Grid each link of all the cells
+    is one true_tail_outages call.  Either way a link fails where, and with
+    the error that, fading_outage_quadrature raises."""
+
+    method = EstimateMethod.QUAD_TRUE_Q
+
     @staticmethod
-    def outage(compose, _partials, links) -> OutageEstimate:
-        value = _compose(POINT, compose, links)
-        return OutageEstimate(value=value, method=EstimateMethod.CLOSED_FORM)
+    def link(cells, _terms, n, rate, omega, _stream):
+        if cells is POINT:
+            value = fading_outage_quadrature(n, rate, ExponentialDensity(omega)).value
+        else:
+            _check_mean(cells, omega, EXPONENTIAL_MEAN_MESSAGE)  # ExponentialDensity's check
+            value = true_tail_outages(cells, n, rate, omega)
+        return value, (None, None, None)
+
+    @staticmethod
+    def pair(cells, _sd, omega_sd, omega_rd, n_s, _n_r, rate_s, *_):
+        # The combined-branch decode is framed by the source codeword: the
+        # relayed copy contributes SNR, not channel uses, so (n_s, k/n_s)
+        # governs, mixed framing included.
+        if cells is POINT:
+            return fading_outage_quadrature(n_s, rate_s, HypoexpParams(omega_sd, omega_rd)).value
+        _check_means(cells, omega_sd, omega_rd)
+        return true_tail_outages(cells, n_s, rate_s, omega_sd, omega_rd)
 
 
-class _OracleLinks:
-    """The quadrature or Monte Carlo link stage, at POINT only.  Links come
-    back as estimates; a composition's std_error follows by the delta method."""
+class _MonteCarloLinks:
+    """The Monte Carlo link stage, at POINT only.  Links come back as
+    estimates; a composition's std_error follows by the delta method."""
 
     def __init__(self, backend: Backend) -> None:
         self.backend = backend
 
     def _oracle(self, n, rate, channel, stream) -> OutageEstimate:
         b = self.backend
-        if b.kind is BackendKind.QUAD_TRUE_Q:
-            return fading_outage_quadrature(n, rate, channel)
         return fading_outage_mc(n, rate, channel, b.trials, b.seed, stream=stream)
 
     def link(self, cells, _terms, n, rate, omega, stream):
@@ -393,15 +444,11 @@ class _OracleLinks:
 
     def silent_hop(self, cells, *_):
         b = self.backend
-        if b.kind is BackendKind.QUAD_TRUE_Q:
-            return OutageEstimate(value=1.0, method=EstimateMethod.QUAD_TRUE_Q)
         return OutageEstimate(value=1.0, method=EstimateMethod.MONTE_CARLO, std_error=0.0,
                               trials=b.trials, seed=b.seed)
 
     def pair(self, cells, _sd, omega_sd, omega_rd, n_s, _n_r, rate_s, *_):
-        # The combined-branch decode is framed by the source codeword: the
-        # relayed copy contributes SNR, not channel uses, so (n_s, k/n_s)
-        # governs, mixed framing included.
+        # framed by the source codeword, as in _QuadLinks.pair
         return self._oracle(n_s, rate_s, HypoexpParams(omega_sd, omega_rd), _STREAM_SRD)
 
     def outage(self, compose, partials, links) -> OutageEstimate:
@@ -410,8 +457,6 @@ class _OracleLinks:
         values = {name: est.value for name, est in links.items()}
         value = _compose(POINT, compose, values)
         b = self.backend
-        if b.kind is BackendKind.QUAD_TRUE_Q:
-            return OutageEstimate(value=value, method=EstimateMethod.QUAD_TRUE_Q)
         var = sum((partial(**values) * (links[name].std_error or 0.0)) ** 2
                   for name, partial in partials.items())
         return OutageEstimate(value=value, method=EstimateMethod.MONTE_CARLO,
@@ -421,7 +466,9 @@ class _OracleLinks:
 def _link_stage(backend: Backend, convention: LinConvention):
     if backend.kind is BackendKind.CLOSED_FORM:
         return _ClosedLinks(convention)
-    return _OracleLinks(backend)
+    if backend.kind is BackendKind.QUAD_TRUE_Q:
+        return _QuadLinks()
+    return _MonteCarloLinks(backend)
 
 
 def _links(cells, reads: "tuple[str, ...]", t, total_snr, stage) -> dict:
@@ -468,8 +515,8 @@ def link_outages(
     stage = _link_stage(backend, LinConvention.parse(convention))
     # sd first: it decides the error raised when both sd and sr fail
     links = _links(POINT, ("sd", "sr", "rd", "srd"), cfg, cfg.total_snr.value, stage)
-    if backend.kind is BackendKind.CLOSED_FORM:
-        links = {name: OutageEstimate(value=value, method=EstimateMethod.CLOSED_FORM)
+    if backend.kind is not BackendKind.MONTE_CARLO:
+        links = {name: OutageEstimate(value=value, method=stage.method)
                  for name, value in links.items()}
     return LinkOutages(**links)
 
@@ -490,14 +537,15 @@ def outages(
     Returns the outage per cell, equal bit for bit to ``protocol_outage``
     of that cell's topology, with NaN where that call raises; each cell's
     std_error (None but for Monte Carlo); and, for each failed cell, the
-    package error it raises.  The closed form evaluates the batch in one
-    ``Grid`` call; the oracles, and a batch with ``big_ints``, evaluate the
-    cells one by one.
+    package error it raises.  The closed form and quadrature evaluate the
+    batch in one ``Grid`` call, quadrature with one batched integration per
+    link; Monte Carlo, and a batch with ``big_ints``, evaluate the cells one
+    by one.
     """
     scheme = _SCHEMES[ProtocolKind.parse(protocol)]
     stage = _link_stage(backend, LinConvention.parse(convention))
     std_error: "list[float | None]" = [None] * cells.size
-    if backend.kind is BackendKind.CLOSED_FORM and not cells.big_ints:
+    if backend.kind is not BackendKind.MONTE_CARLO and not cells.big_ints:
         reads, compose, _ = scheme
         grid = Grid(cells.size)
         with np.errstate(all="ignore"):

@@ -197,6 +197,29 @@ def test_true_tail_quadrature_reproduces_every_report_row():
     assert elapsed < 5.0, f"768 quadratures took {elapsed:.1f}s"
 
 
+def test_one_quadrature_batch_reproduces_every_report_row():
+    """One batched true-tail call over the 768 cells, in chunks and with
+    single links and both pair branches mixed, reproduces every committed
+    eps_true exactly: the batch changes no bit of the oracle's values."""
+    import numpy as np
+
+    from fbrelay._cells import Grid
+    from fbrelay.oracles import true_tail_outages
+
+    rows = _report_rows()
+    grid = Grid(len(rows))
+    values = true_tail_outages(
+        grid,
+        np.array([int(r["n"]) for r in rows]),
+        np.array([float(r["rate"]) for r in rows]),
+        np.array([float(r["omega_z"]) for r in rows]),
+        np.array([float(r["omega_y"]) for r in rows]),  # NaN: a single link
+        abs_tol=1e-12,
+    )
+    assert not grid.failures
+    assert [v.hex() for v in values.tolist()] == [float(r["eps_true"]).hex() for r in rows]
+
+
 def test_better_convention_within_10_percent():
     """The better convention's closed form is required to stay within 10%
     of the true-Q quadrature wherever the true outage is >= 1e-3.  Measured:

@@ -11,6 +11,7 @@ from fbrelay import (
     Backend,
     DomainError,
     EtaOptimum,
+    FbrelayError,
     ProtocolKind,
     RegionGrid,
     SnrValue,
@@ -218,6 +219,37 @@ class TestReliabilityRegion:
         assert 0.0 <= ok <= 1.0 and math.isnan(bad)
         (message,) = grid.errors
         assert message.startswith("n=20 k=80: mrc_pair_outage: exp overflowed")
+
+    @pytest.mark.filterwarnings("ignore:blocklength n=")
+    @pytest.mark.parametrize("protocol", ["df", "mrc"])
+    @pytest.mark.parametrize("db, ns, ks, kw, failed", [
+        (10.0, [50, 100, 150], [10, 300], dict(path_loss_exp=2.0), 2),  # a short row refused
+        (10.0, [1, 2, 5, 40, 150], [1, 3, 7], dict(allow_short=True), 0),
+        (3000.0, [100, 150], [10, 300], dict(path_loss_exp=30.0), 4),  # relay-link means of inf
+        (10.0, [100, 150], [10, 300], dict(path_loss_exp=2000.0), 4),  # path-loss gain overflows
+    ], ids=["short", "allow-short", "infinite-mean", "gain-overflow"])
+    def test_quadrature_map_equals_each_cell(self, protocol, db, ns, ks, kw, failed):
+        """Each cell of a quadrature map is ``protocol_outage`` of its topology
+        bit for bit, and each failed cell carries that call's error, in
+        order.  (A map refuses 8 bits per use at entry, so the window
+        overflow at 512 is met in sweeps, not maps.)"""
+        snr = SnrValue.from_db(db)
+        grid = reliability_region(protocol, snr, ns, ks, Backend.quadrature(), eta=0.7, **kw)
+        errors = iter(grid.errors)
+        seen = 0
+        for row, n in zip(grid.success, ns):
+            for success, k in zip(row, ks):
+                try:
+                    cfg = TopologyConfig(total_snr=snr, eta=0.7, n_s=n, n_r=n, k=k, **kw)
+                    est = protocol_outage(protocol, cfg, Backend.quadrature())
+                except FbrelayError as exc:
+                    seen += 1
+                    assert math.isnan(success)
+                    assert next(errors) == f"n={n} k={k}: {exc}"
+                else:
+                    assert success.hex() == (1.0 - est.value).hex()
+        assert next(errors, None) is None
+        assert seen == failed
 
     def test_validation_of_the_grid_dataclass(self):
         from fbrelay import LinConvention

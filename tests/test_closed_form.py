@@ -11,12 +11,16 @@ from scipy.integrate import quad
 from fbrelay import (
     CANCELLATION_GUARD,
     DomainError,
+    ExponentialDensity,
     HypoexpParams,
     NumericError,
     TIE_TOLERANCE,
     hypoexp_cdf,
     hypoexp_pdf,
+    linearize,
+    linearized_outage_quadrature,
     mrc_pair_outage,
+    ramp_coefficients,
     rayleigh_outage,
 )
 
@@ -186,3 +190,16 @@ def test_closed_forms_are_probabilities(n, rate, db):
     omega = 10.0 ** (db / 10.0)
     assert 0.0 <= rayleigh_outage(n, rate, omega) <= 1.0
     assert 0.0 <= mrc_pair_outage(n, rate, HypoexpParams(omega, 0.7 * omega)) <= 1.0
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP 0d: the closed form breaks its own-surrogate "
+                   "contract where the ramp's lower breakpoint is negative")
+def test_own_surrogate_contract_below_a_negative_lower_breakpoint():
+    """rayleigh_outage is the exact average of its own ramp (to 1e-8) also
+    where that ramp starts below t = 0.  At n = 150, R = 7.5 and 0 dB it
+    gives 0.5979 against the ramp's quadrature 0.9838."""
+    params = linearize(150, 7.5, 1.0)
+    assert ramp_coefficients(params)[1] < 0.0  # the lower breakpoint
+    closed = rayleigh_outage(150, 7.5, 1.0)
+    own = linearized_outage_quadrature(params, ExponentialDensity(1.0), abs_tol=1e-12).value
+    assert closed == pytest.approx(own, abs=1e-8)

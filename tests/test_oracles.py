@@ -32,13 +32,22 @@ from fbrelay import (
     outage_given_snr,
     rayleigh_outage,
 )
+from fbrelay._cells import POINT, Grid
 from fbrelay.oracles import (
+    _CAPPED,
+    _CHUNK,
+    _CONVERGED,
     _GK21_NODES,
     _GK21_WEIGHTS,
+    _NON_FINITE,
     _PANEL_LIMIT,
+    _check_converged,
     _conditional_outage_np,
     _density_pdf,
-    _integrate_pieces,
+    _integrate,
+    _integrate_one,
+    _sum_in_order,
+    true_tail_outages,
 )
 
 TRUTH_SINGLE = 0.040768730966325335  # n=500 R=1/2 mean 10
@@ -70,13 +79,13 @@ class TestGaussKronrodRule:
         assert gauss_nodes == pytest.approx(np.polynomial.legendre.leggauss(10)[0], abs=1e-15)
 
     def test_smooth_integrand_over_several_cuts(self):
-        value = _integrate_pieces(np.exp, [0.0, 0.5, 0.5, 3.0], 1e-13)
+        value = _integrate_one(np.exp, [0.0, 0.5, 0.5, 3.0], 1e-13)
         assert value == pytest.approx(math.expm1(3.0), abs=1e-12)
-        assert _integrate_pieces(np.exp, [1.0, 1.0], 1e-10) == 0.0
+        assert _integrate_one(np.exp, [1.0, 1.0], 1e-10) == 0.0
 
     def test_nan_integrand_raises(self):
         with pytest.raises(ConvergenceError):
-            _integrate_pieces(lambda x: np.full(x.shape, math.nan), [0.0, 1.0, 2.0], 1e-10)
+            _integrate_one(lambda x: np.full(x.shape, math.nan), [0.0, 1.0, 2.0], 1e-10)
 
     def test_noise_integrand_raises_within_the_cap(self):
         rng = np.random.default_rng(20_261_017)
@@ -87,10 +96,124 @@ class TestGaussKronrodRule:
             return rng.standard_normal(x.shape)
 
         with pytest.raises(ConvergenceError):
-            _integrate_pieces(noise, [0.0, 1.0, 5.0], 1e-10)
+            _integrate_one(noise, [0.0, 1.0, 5.0], 1e-10)
         # open panels at most double per pass and stop once the partition
         # outgrows the cap, so the rule evaluates fewer than 2 * cap panels
         assert sum(evaluated) < 2 * _PANEL_LIMIT * len(_GK21_NODES)
+
+
+class TestBatchIntegrator:
+    """A batch of integrals gives each one the bits it gets alone, and a
+    failing integral fails alone."""
+
+    SIZE = 2 * _CHUNK + 5  # more integrals than true_tail_outages gives one call
+    NAN, NOISE = _CHUNK - 1, _CHUNK
+
+    @classmethod
+    def family(cls):
+        """(integrand(owner, x), cuts): Lorentzian peaks of widths 1 to 1e-4,
+        some on a cut and some between, over two to four intervals."""
+        rng = np.random.default_rng(20_261_018)
+        sharp = 10.0 ** rng.uniform(0.0, 4.0, cls.SIZE)
+        centre = rng.uniform(0.1, 0.9, cls.SIZE)
+        cuts = [[0.0, float(c), 1.0] if j % 3 else [0.0, 0.25, 0.25, 0.5, 1.0, 2.0]
+                for j, c in enumerate(centre)]
+        noise = np.random.default_rng(5)
+
+        def integrand(owner, x):
+            values = 1.0 / (1.0 + (sharp[owner][:, None] * (x - centre[owner][:, None])) ** 2)
+            values[owner == cls.NAN] = math.nan
+            rows = owner == cls.NOISE
+            values[rows] = noise.standard_normal(values[rows].shape)
+            return values
+
+        return integrand, cuts
+
+    def test_each_member_as_alone(self):
+        integrand, cuts = self.family()
+        calls = []
+
+        def recorded(owner, x):
+            calls.append(np.bincount(owner, minlength=self.SIZE))
+            return integrand(owner, x)
+
+        totals, status = _integrate(recorded, cuts, 1e-10)
+        open_counts = np.array(calls)
+        # several bisection passes, with integrals of different open-panel
+        # counts in one pass
+        assert (np.count_nonzero(open_counts, axis=0) >= 3).sum() > 10
+        assert any(len(set(row[row > 0].tolist())) > 2 for row in open_counts)
+
+        grid = Grid(self.SIZE)
+        per_cell = np.empty(self.SIZE, dtype=object)
+        for j, cut in enumerate(cuts):
+            per_cell[j] = cut
+        _check_converged(grid, status, per_cell, 1e-10)
+        for j, cut in enumerate(cuts):
+            alone, alone_status = _integrate(lambda owner, x: integrand(owner + j, x), [cut], 1e-10)
+            assert status[j] == alone_status[0]
+            if j in (self.NAN, self.NOISE):
+                with pytest.raises(ConvergenceError) as alone_error:
+                    _check_converged(POINT, alone_status[0], cut, 1e-10)
+                assert str(grid.failures[j]) == str(alone_error.value)
+            else:
+                assert status[j] == _CONVERGED and j not in grid.failures
+                assert totals[j].hex() == alone[0].hex()
+        assert sorted(grid.failures) == [self.NAN, self.NOISE]
+        assert status[self.NAN] == _NON_FINITE and status[self.NOISE] == _CAPPED
+        assert str(grid.failures[self.NAN]) == (
+            f"quadrature over {cuts[self.NAN]!r} hit a non-finite panel sum")
+        assert str(grid.failures[self.NOISE]) == (
+            f"quadrature over {cuts[self.NOISE]!r} needs more than {_PANEL_LIMIT} panels "
+            f"to reach abs_tol=1e-10")
+
+    def test_widths_are_summed_as_np_sum_sums_them(self):
+        rng = np.random.default_rng(11)
+        for length in range(1, 20):
+            for _ in range(200):
+                widths = (rng.uniform(0.0, 1.0, length) * 10.0 ** rng.integers(-17, 3, length)).tolist()
+                assert _sum_in_order(widths).hex() == float(np.sum(widths)).hex()
+
+    def test_values_are_right(self):
+        integrand, cuts = self.family()
+        totals, status = _integrate(integrand, cuts, 1e-10)
+        rng = np.random.default_rng(20_261_018)
+        sharp = 10.0 ** rng.uniform(0.0, 4.0, self.SIZE)
+        centre = rng.uniform(0.1, 0.9, self.SIZE)
+        for j in np.flatnonzero(status == _CONVERGED):
+            top = cuts[j][-1]
+            exact = (math.atan(sharp[j] * (top - centre[j])) + math.atan(sharp[j] * centre[j])) / sharp[j]
+            assert totals[j] == pytest.approx(exact, abs=1e-9)
+
+
+class TestGridOracle:
+    """true_tail_outages over a Grid is fading_outage_quadrature per cell."""
+
+    @staticmethod
+    def point(n, rate, z, y):
+        channel = z if math.isnan(y) else HypoexpParams(z, y)
+        try:
+            return fading_outage_quadrature(n, rate, channel).value.hex()
+        except (DomainError, NumericError) as exc:  # ConvergenceError is a NumericError
+            return type(exc), str(exc)
+
+    def test_cells_across_chunks_equal_point_calls(self):
+        size = 3 * _CHUNK + 5  # four chunks, the last one short
+        rng = np.random.default_rng(20_261_019)
+        n = rng.choice([0, 1, 2, 100, 500, 3000], size)
+        rate = rng.choice([0.0, 0.05, 0.5, 2.0, 7.5, 600.0], size)
+        z = 10.0 ** rng.uniform(-2.0, 4.0, size)
+        y = np.where(rng.random(size) < 0.4, np.nan, z * rng.choice([1.0, 1.0 + 1e-12, 0.25, 1e-5], size))
+        grid = Grid(size)
+        with np.errstate(all="ignore"):  # failed cells carry garbage, as in any Grid
+            values = true_tail_outages(grid, n, rate, z, y)
+        kinds = set()
+        for i in range(size):
+            exc = grid.failures.get(i)
+            got = values[i].hex() if exc is None else (type(exc), str(exc))
+            assert got == self.point(int(n[i]), float(rate[i]), float(z[i]), float(y[i]))
+            kinds.add("ok" if exc is None else str(exc).split(" ")[0])
+        assert kinds >= {"ok", "blocklength", "rate", "true-tail"}
 
 
 class TestArrayIntegrand:

@@ -23,6 +23,7 @@ from fbrelay import (
 )
 from fbrelay import protocols
 from fbrelay._estimates import lazy_binding
+from fbrelay.analysis import _coarse_grid
 
 TEN_DB = SnrValue.from_db(10.0)
 
@@ -364,3 +365,32 @@ def test_batch_equals_each_cell(backend, convention, examples):
                 assert got == _per_cell(protocol, base, field, value, backend, convention)
 
     check()
+
+
+@pytest.mark.filterwarnings("ignore:blocklength n=")
+@pytest.mark.parametrize("db, n_s, n_r, k", [
+    (10.0, 500, 500, 250),
+    (10.0, 500, 300, 250),  # mixed framing
+    (-20.0, 200, 900, 150),
+    (35.0, 2, 1, 600),  # the forward hop's window overflows (600 bits per use)
+    (0.0, 1, 3, 600),  # every link's window overflows but the forward hop's
+])
+def test_quadrature_coarse_scan_batch_equals_each_cell(db, n_s, n_r, k):
+    """A quadrature batch the size of ``optimize_eta``'s coarse scan, the
+    silent relay (eta = 1) included, is ``protocol_outage`` of each cell bit
+    for bit, failures included."""
+    etas = _coarse_grid(0.05)
+    assert len(etas) == 20 and etas[-1] == 1.0
+    base = TopologyConfig(total_snr=SnrValue.from_db(db), eta=0.5, beta=0.3, path_loss_exp=2.0,
+                          n_s=n_s, n_r=n_r, k=k, allow_short=True)
+    cells = protocols.TopologyCells(base, eta=etas)
+    failed = 0
+    for protocol in ("dt", "df", "sc", "mrc"):
+        outage, std_error, failures = protocols.outages(protocol, cells, Backend.quadrature())
+        failed += len(failures)
+        for i, eta in enumerate(etas):
+            exc = failures.get(i)
+            got = ([outage[i].item().hex(), std_error[i]] if exc is None
+                   else [type(exc), str(exc)])
+            assert got == _per_cell(protocol, base, "eta", eta, Backend.quadrature(), "nats")
+    assert (failed > 0) == (k / min(n_s, n_r) > 512)
