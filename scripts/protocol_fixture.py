@@ -16,8 +16,9 @@ axis (eta up to 1, mixed framing, refused points, path-loss overflow),
 ``reliability_region`` maps at a fixed split and with per-cell split
 optimization (short blocklengths with and without ``allow_short``,
 overflowing cells), ``optimize_eta`` searches (one fails in its coarse
-scan), and closed and quadrature sweeps and maps whose blocklength or
-payload reaches 2**53 and 2**63.  Floats are written as ``float.hex``;
+scan), closed and quadrature sweeps and maps whose blocklength or
+payload reaches 2**53 and 2**63, and quadrature and Monte Carlo sweeps
+past 2**64.  Floats are written as ``float.hex``;
 a driver call that raises is written as its exception type and message.
 
 ``tests/test_protocol_fixture.py`` checks that the package reproduces the
@@ -173,6 +174,12 @@ DRIVERS = [
           ("mrc", "reference", 10.0, _REF, "mc"),
           ("sc", "big", 10.0, _BIG, "closed_nats"),
           ("mrc", "big", 10.0, _BIG, "quad"))),
+    # past uint64, where numpy's sqrt of a Python int would be an object
+    *((f"sweep_blocklength_huge_{label}", "sweep", {
+        "protocols": list(PROTOCOLS), "snr_db": 10.0, "cfg": {**_REF, "k": 2 ** 63},
+        "axis": "blocklength", "values": [2 ** 64 - 1, 2 ** 64 + 7], "backends": [label],
+        "convention": "nats", "seed": 20})
+      for label in ("quad", "mc")),
 ]
 
 

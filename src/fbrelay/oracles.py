@@ -36,7 +36,9 @@ Monte Carlo reproducibility contract: the estimate is a pure function of
 (seed, trials, partitions, stream).  Each partition owns a counter-based
 generator keyed by (seed, stream, partition index), and partial sums are
 combined in partition order, so the result is bit-identical regardless of
-how many threads actually ran.
+how many threads actually ran.  The partitions of every call run on one
+thread pool per process, built by the first call that needs more than one
+worker and rebuilt only when the worker count changes.
 
 The value types (OutageEstimate, EstimateMethod, ExponentialDensity) are
 defined in ``_estimates``, which does not load scipy, and re-exported here.
@@ -46,6 +48,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -559,8 +562,15 @@ def linearized_outage_quadrature(
     return OutageEstimate(value=value, method=EstimateMethod.QUAD_LINEARIZED)
 
 
+def _sqrt_n(n):
+    """np.sqrt(n), also for a Python int past uint64, which numpy would hold
+    as an object.  math.sqrt rounds an int to a double as numpy's int64 and
+    uint64 conversions do, so below 2**64 the two agree bit for bit."""
+    return math.sqrt(n) if isinstance(n, int) else np.sqrt(n)
+
+
 def _q_argument(n: int, rate: float, w: np.ndarray) -> np.ndarray:
-    return np.sqrt(n) * (np.log1p(w) - rate * LN2) * (1.0 + w) / np.sqrt(w * (2.0 + w))
+    return _sqrt_n(n) * (np.log1p(w) - rate * LN2) * (1.0 + w) / np.sqrt(w * (2.0 + w))
 
 
 def _conditional_outage_np(n: int, rate: float, w: np.ndarray) -> np.ndarray:
@@ -577,7 +587,7 @@ def _conditional_outage_np(n: int, rate: float, w: np.ndarray) -> np.ndarray:
         big = w[huge]
         if np.ndim(n):  # one row of parameters per row of w
             n, rate = np.broadcast_to(n, w.shape)[huge], np.broadcast_to(rate, w.shape)[huge]
-        arg[huge] = np.sqrt(n) * (np.log1p(big) - rate * LN2) * (
+        arg[huge] = _sqrt_n(n) * (np.log1p(big) - rate * LN2) * (
             (1.0 + big) / (np.sqrt(big) * np.sqrt(2.0 + big)))
     return 0.5 * erfc(arg / math.sqrt(2.0))
 
@@ -591,6 +601,40 @@ def _worker_count(partitions: int) -> int:
         except ValueError:
             raise DomainError(f"{MAX_WORKERS_ENV} must be an integer, got {cap!r}") from None
     return max(1, min(partitions, available))
+
+
+_pool_lock = threading.Lock()
+_pool: "ThreadPoolExecutor | None" = None
+_pool_size = 0
+
+
+def _pool_map(fn, count: int, workers: int):
+    """fn(0), ..., fn(count - 1) on the process's Monte Carlo pool, in order.
+
+    The pool is built by the first call and kept; a call with another
+    worker count replaces it, once the old pool has run the work it was
+    given and its threads have exited.  Work is submitted under the lock,
+    so no caller submits to a pool that another has shut down.  Idle
+    workers are joined at interpreter exit by concurrent.futures.
+    """
+    global _pool, _pool_size
+    with _pool_lock:
+        if _pool_size != workers:
+            if _pool is not None:
+                _pool.shutdown()
+            _pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="fbrelay-mc")
+            _pool_size = workers
+        return _pool.map(fn, range(count))
+
+
+def _forget_pool() -> None:
+    """In a forked child: the parent's worker threads do not exist there."""
+    global _pool_lock, _pool, _pool_size
+    _pool_lock, _pool, _pool_size = threading.Lock(), None, 0
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def fading_outage_mc(
@@ -640,8 +684,7 @@ def fading_outage_mc(
 
     workers = _worker_count(partitions)
     if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(run_partition, range(partitions)))
+        partials = list(_pool_map(run_partition, partitions, workers))
     else:
         partials = [run_partition(i) for i in range(partitions)]
 

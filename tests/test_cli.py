@@ -395,6 +395,33 @@ class TestGroupPlumbing:
             code, heavy = seen.pop(" ".join(argv))
             assert code == 0 and "scipy.special" in heavy and "fbrelay.oracles" in heavy
 
+    @pytest.mark.parametrize("argv", [
+        ["outage", "--backend", "mc", "--trials", "2e5", "--seed", "1"],
+        ["validate"],
+    ], ids=["outage-mc", "validate"])
+    def test_monte_carlo_commands_exit_cleanly(self, argv):
+        # The Monte Carlo pool outlives each call; its idle workers must be
+        # joined at interpreter exit, not hold the process up.  atexit hooks
+        # run after that join, so this one lists the threads still alive.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(fbrelay.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        env.pop("FBRELAY_MAX_WORKERS", None)
+        probe = (
+            "import atexit, sys, threading\n"
+            "atexit.register(lambda: print('alive at exit:', sorted(\n"
+            "    t.name for t in threading.enumerate() if t is not threading.main_thread()),\n"
+            "    file=sys.stderr))\n"
+            "from fbrelay.cli import main\n"
+            "main(sys.argv[1:], prog_name='fbrelay')\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", probe, *argv], env=env, capture_output=True, text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stderr.splitlines()[-1] == "alive at exit: []"
+
     def test_oracle_names_resolve_on_access(self):
         import fbrelay.oracles
 

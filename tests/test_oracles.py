@@ -8,6 +8,11 @@ a fixed-order partition combine that makes the worker count irrelevant.
 from __future__ import annotations
 
 import math
+import os
+import select
+import signal
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -32,8 +37,10 @@ from fbrelay import (
     outage_given_snr,
     rayleigh_outage,
 )
+from fbrelay import oracles
 from fbrelay._cells import POINT, Grid
 from fbrelay.oracles import (
+    MAX_WORKERS_ENV,
     _CAPPED,
     _CHUNK,
     _CONVERGED,
@@ -46,6 +53,7 @@ from fbrelay.oracles import (
     _density_pdf,
     _integrate,
     _integrate_one,
+    _q_argument,
     _sum_in_order,
     true_tail_outages,
 )
@@ -417,6 +425,102 @@ class TestMonteCarlo:
         serial = fading_outage_mc(500, 0.5, 10.0, 50_000, seed=7)
         assert (serial.value, serial.std_error) == (baseline.value, baseline.std_error)
 
+    @staticmethod
+    def three_calls():
+        """(value, std_error) of a single link, a pair and a Bernoulli run."""
+        return [(e.value, e.std_error) for e in (
+            fading_outage_mc(500, 0.5, 10.0, 20_000, seed=7),
+            fading_outage_mc(500, 0.5, HypoexpParams(10.0, 2.5), 20_000, seed=11),
+            fading_outage_mc(500, 0.5, 10.0, 20_000, seed=9, bernoulli=True),
+        )]
+
+    def test_pool_rebuilds_keep_every_bit(self, monkeypatch):
+        # On four cpus, caps 2, 3 and none are three pool sizes, so each
+        # change of the cap rebuilds the pool; a cap of 1 runs serially.
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setenv(MAX_WORKERS_ENV, "1")
+        want = self.three_calls()
+        sizes = set()
+        for cap in ("2", "3", None, "1", "3", "2", None):
+            if cap is None:
+                monkeypatch.delenv(MAX_WORKERS_ENV)
+            else:
+                monkeypatch.setenv(MAX_WORKERS_ENV, cap)
+            assert self.three_calls() == want, cap
+            sizes.add(oracles._pool_size)
+        assert sizes == {2, 3, 4}
+
+    def test_concurrent_callers_across_rebuilds(self):
+        # Four callers ask for pool sizes 2, 3 and 4 in turn, so the pool is
+        # rebuilt under them again and again; every caller must still get
+        # all its results, as no pool is shut down while one submits to it.
+        done, errors = [], []
+
+        def caller(offset):
+            try:
+                for i in range(40):
+                    size = 2 + (offset + i) % 3
+                    got = list(oracles._pool_map(lambda j: (size, j * j), 16, size))
+                    if got != [(size, j * j) for j in range(16)]:
+                        raise AssertionError(got)
+                done.append(offset)
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        threads = [threading.Thread(target=caller, args=(k,)) for k in range(4)]
+        saved = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(saved)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == [] and sorted(done) == [0, 1, 2, 3]
+
+    @staticmethod
+    def pool_threads():
+        return {t for t in threading.enumerate() if t.name.startswith("fbrelay-mc")}
+
+    def test_calls_reuse_the_pool_threads(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.delenv(MAX_WORKERS_ENV, raising=False)
+        for seed in range(5):
+            fading_outage_mc(500, 0.5, 10.0, 200_000, seed=seed)
+        workers, before = self.pool_threads(), threading.active_count()
+        assert 1 <= len(workers) <= 2
+        for seed in range(50):
+            fading_outage_mc(500, 0.5, 10.0, 20_000, seed=seed)
+            assert threading.active_count() <= before
+        assert self.pool_threads() == workers
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="os.fork on Linux only")
+    def test_forked_child_gets_the_parent_bits(self, monkeypatch):
+        # The parent's pool threads do not exist in the child, which must
+        # build its own instead of waiting on them forever.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.delenv(MAX_WORKERS_ENV, raising=False)
+        want = repr(self.three_calls())
+        read, write = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # pragma: no cover - runs in the child
+            try:
+                os.write(write, repr(self.three_calls()).encode())
+            finally:
+                os._exit(0)
+        os.close(write)
+        try:
+            ready, _, _ = select.select([read], [], [], 60.0)
+            if not ready:
+                os.kill(pid, signal.SIGKILL)
+            got = os.read(read, 4096).decode() if ready else "child hung"
+        finally:
+            os.close(read)
+            os.waitpid(pid, 0)
+        assert got == want
+
     def test_streams_are_independent_draws(self):
         a = fading_outage_mc(500, 0.5, 10.0, 50_000, seed=7, stream=0)
         b = fading_outage_mc(500, 0.5, 10.0, 50_000, seed=7, stream=1)
@@ -468,6 +572,24 @@ class TestMonteCarlo:
             fading_outage_mc(500, 0.5, 10.0, 50_000, seed=1, partitions=0)
         with pytest.raises(DomainError):
             fading_outage_mc(0, 0.5, 10.0, 50_000, seed=1)
+
+
+class TestHugeBlocklength:
+    def test_q_argument_keeps_numpy_bits_below_2_to_the_64(self):
+        rng = np.random.default_rng(3)
+        w = rng.exponential(10.0, 64)
+        ns = [2 ** b + d for b in range(10, 64) for d in (-1, 0, 1)] + [2 ** 64 - 1]
+        for n in ns:
+            want = np.sqrt(n) * (np.log1p(w) - 0.5 * math.log(2.0)) * (1.0 + w) / np.sqrt(
+                w * (2.0 + w))
+            assert _q_argument(n, 0.5, w).tobytes() == want.tobytes(), n
+
+    def test_past_uint64_both_oracles_run(self):
+        # sqrt(2**64 + 7) rounds to sqrt(2**64 - 1) in doubles
+        n = 2 ** 64 + 7
+        for oracle, args in ((fading_outage_quadrature, ()),
+                             (fading_outage_mc, (20_000, 1))):
+            assert oracle(n, 0.5, 10.0, *args) == oracle(2 ** 64 - 1, 0.5, 10.0, *args)
 
 
 def test_convergence_error_is_a_numeric_error():
