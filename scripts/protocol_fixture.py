@@ -17,8 +17,9 @@ axis (eta up to 1, mixed framing, refused points, path-loss overflow),
 optimization (short blocklengths with and without ``allow_short``,
 overflowing cells), ``optimize_eta`` searches (one fails in its coarse
 scan), closed and quadrature sweeps and maps whose blocklength or
-payload reaches 2**53 and 2**63, and quadrature and Monte Carlo sweeps
-past 2**64.  Floats are written as ``float.hex``;
+payload reaches 2**53 and 2**63, quadrature and Monte Carlo sweeps past
+2**64, and a sweep on each backend to a blocklength past the largest
+double.  Floats are written as ``float.hex``;
 a driver call that raises is written as its exception type and message.
 
 ``tests/test_protocol_fixture.py`` checks that the package reproduces the
@@ -180,6 +181,11 @@ DRIVERS = [
         "axis": "blocklength", "values": [2 ** 64 - 1, 2 ** 64 + 7], "backends": [label],
         "convention": "nats", "seed": 20})
       for label in ("quad", "mc")),
+    # past the largest double, where float(n) would raise: a refused point
+    *((f"sweep_blocklength_past_double_{label}", "sweep", {
+        "protocols": list(PROTOCOLS), "snr_db": 10.0, "cfg": _REF, "axis": "blocklength",
+        "values": [500, 10 ** 400], "backends": [label], "convention": "nats", "seed": 21})
+      for label in ("closed_nats", "quad", "mc")),
 ]
 
 

@@ -33,6 +33,29 @@ import numpy as np
 INF = math.inf
 
 
+# Overflow-safe libm calls for ``each``: an overflow gives inf, which the
+# caller's check then fails.
+def exp_or_inf(x: float) -> float:
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return INF
+
+
+def expm1_or_inf(x: float) -> float:
+    try:
+        return math.expm1(x)
+    except OverflowError:
+        return INF
+
+
+def pow2_or_inf(x: float) -> float:
+    try:
+        return 2.0 ** x
+    except OverflowError:
+        return INF
+
+
 class _Point:
     """One point: plain floats, and a failed check raises."""
 

@@ -9,9 +9,10 @@ Three instruments:
 * ``optimize_eta`` finds the outage-minimizing power split for a scheme by a
   coarse scan followed by golden-section refinement, reporting the scanned
   profile and whether it saw more than one local minimum.
-* ``reliability_region`` maps success probability 1 - outage over a
-  (blocklength, payload) grid at fixed SNR, the raw material for
-  "which (n, k) achieve 99.9%" contour questions.
+* ``reliability_region`` maps outage over a (blocklength, payload) grid at
+  fixed SNR, the raw material for "which (n, k) achieve 99.9%" contour
+  questions.  It keeps the outage itself, which 1 - outage would round
+  away in the ultra-reliable region.
 
 Each instrument hands its grid to ``protocols.outages`` as one batch, on
 every backend: a sweep once per protocol and backend, a power-split
@@ -30,7 +31,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, FbrelayError
-from .finite_blocklength import MIN_BLOCKLENGTH, RateSpec, SnrValue
+from .finite_blocklength import _DOUBLE_MAX, _TOO_LARGE_MESSAGE, MIN_BLOCKLENGTH, RateSpec, SnrValue
 from .linearization import LinConvention
 from .protocols import (
     Backend,
@@ -136,9 +137,9 @@ class EtaOptimum:
 
 @dataclass(frozen=True)
 class RegionGrid:
-    """Success-probability matrix over payload (columns) x blocklength (rows).
+    """Outage matrix over payload (columns) x blocklength (rows).
 
-    ``success[i][j]`` is 1 - outage at n = n_values[i], k = k_values[j];
+    ``outage[i][j]`` is the outage at n = n_values[i], k = k_values[j];
     NaN marks a cell whose evaluation failed.  ``errors`` holds exactly one
     ``"n=.. k=..: reason"`` per NaN cell, in row-major order (n, then k),
     so a walk over the matrix can take the reasons in turn.
@@ -150,18 +151,24 @@ class RegionGrid:
     eta: float
     k_values: "tuple[int, ...]"
     n_values: "tuple[int, ...]"
-    success: "tuple[tuple[float, ...], ...]"
+    outage: "tuple[tuple[float, ...], ...]"
     errors: "tuple[str, ...]" = ()
 
     def __post_init__(self) -> None:
-        if len(self.success) != len(self.n_values):
-            raise DomainError("success must have one row per blocklength")
-        for row in self.success:
+        if len(self.outage) != len(self.n_values):
+            raise DomainError("outage must have one row per blocklength")
+        for row in self.outage:
             if len(row) != len(self.k_values):
-                raise DomainError("every success row must have one entry per payload")
+                raise DomainError("every outage row must have one entry per payload")
             for cell in row:
                 if not math.isnan(cell) and not (0.0 <= cell <= 1.0):
-                    raise DomainError(f"success entries must be probabilities, got {cell!r}")
+                    raise DomainError(f"outage entries must be probabilities, got {cell!r}")
+
+    @property
+    def success(self) -> "tuple[tuple[float, ...], ...]":
+        """Success probability 1 - outage per cell, NaN where it failed.
+        Below an outage of about 1.1e-16 it rounds to 1."""
+        return tuple(tuple(1.0 - eps for eps in row) for row in self.outage)
 
 
 def _as_protocols(protocols) -> "tuple[ProtocolKind, ...]":
@@ -322,42 +329,34 @@ def optimize_eta(
     best_i = min(range(len(values)), key=values.__getitem__)
     best_eta, best_eps = profile[best_i]
 
-    minima = _local_minima(values)
-    if len(minima) > 1:
-        return EtaOptimum(
-            eta_star=best_eta,
-            eps_star=best_eps,
-            protocol=protocol,
-            profile=tuple(profile),
-            multimodal=True,
-        )
-
-    # golden-section on the bracket spanning the best coarse point
-    lo = grid[best_i - 1] if best_i > 0 else grid[0] / 2.0
-    hi = grid[best_i + 1] if best_i < len(grid) - 1 else grid[-1]
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    while hi - lo > refine_tol:
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = f(x2)
-        if f1 < best_eps:
-            best_eta, best_eps = x1, f1
-        if f2 < best_eps:
-            best_eta, best_eps = x2, f2
+    multimodal = len(_local_minima(values)) > 1
+    if not multimodal:
+        # golden-section on the bracket spanning the best coarse point
+        lo = grid[best_i - 1] if best_i > 0 else grid[0] / 2.0
+        hi = grid[best_i + 1] if best_i < len(grid) - 1 else grid[-1]
+        x1 = hi - _GOLDEN * (hi - lo)
+        x2 = lo + _GOLDEN * (hi - lo)
+        f1, f2 = f(x1), f(x2)
+        while hi - lo > refine_tol:
+            if f1 <= f2:
+                hi, x2, f2 = x2, x1, f1
+                x1 = hi - _GOLDEN * (hi - lo)
+                f1 = f(x1)
+            else:
+                lo, x1, f1 = x1, x2, f2
+                x2 = lo + _GOLDEN * (hi - lo)
+                f2 = f(x2)
+            if f1 < best_eps:
+                best_eta, best_eps = x1, f1
+            if f2 < best_eps:
+                best_eta, best_eps = x2, f2
 
     return EtaOptimum(
         eta_star=best_eta,
         eps_star=best_eps,
         protocol=protocol,
         profile=tuple(profile),
-        multimodal=False,
+        multimodal=multimodal,
     )
 
 
@@ -369,6 +368,8 @@ def _ascending_ints(values, what: str) -> "tuple[int, ...]":
         raise DomainError(f"{what} must be positive integers")
     if any(b <= a for a, b in zip(out, out[1:])):
         raise DomainError(f"{what} must be strictly ascending")
+    if out[-1] > _DOUBLE_MAX:
+        raise DomainError(_TOO_LARGE_MESSAGE.format(f"the last of {what}"))
     return out
 
 
@@ -386,14 +387,19 @@ def reliability_region(
     allow_short: bool = False,
     optimize_power_split: bool = False,
 ) -> RegionGrid:
-    """Success probability 1 - outage over the (n, k) plane at fixed SNR.
+    """Outage over the (n, k) plane at fixed SNR.
 
-    Grids must be non-empty ascending positive integers, and even the
-    smallest blocklength must accommodate the largest payload under
-    MAX_BITS_PER_USE.  Cells whose evaluation raises come back as NaN with
+    Grids must be non-empty ascending positive integers no larger than the
+    largest double, and even the smallest blocklength must accommodate the
+    largest payload under MAX_BITS_PER_USE.  Cells whose evaluation raises come back as NaN with
     the reason recorded in errors — the rest of the grid still fills in.
-    With optimize_power_split=True each cell reports its own best power
-    split instead of the fixed eta (deterministic backends only;
+    The topology fields are validated once and each blocklength once (the
+    payloads are positive integers already), in the order TopologyConfig
+    checks them, so a refused cell carries the message its own
+    TopologyConfig would raise; short blocklengths warn once each.  The
+    other cells are evaluated in one batch at the fixed eta, or with
+    optimize_power_split=True each by its own power-split search, which
+    reports its best split's outage (deterministic backends only;
     noticeably slower).
     """
     protocol = ProtocolKind.parse(protocol)
@@ -408,31 +414,6 @@ def reliability_region(
     if optimize_power_split and backend.kind is BackendKind.MONTE_CARLO:
         raise DomainError("optimize_power_split requires a deterministic backend")
 
-    errors, matrix = _region(protocol, snr, ns, ks, backend, convention, eta, beta,
-                             path_loss_exp, allow_short, optimize_power_split)
-    return RegionGrid(
-        protocol=protocol,
-        convention=convention,
-        snr=snr,
-        eta=eta,
-        k_values=ks,
-        n_values=ns,
-        success=tuple(matrix),
-        errors=tuple(errors),
-    )
-
-
-def _region(protocol, snr, ns, ks, backend, convention, eta, beta, path_loss_exp, allow_short,
-            optimize_power_split):
-    """(errors, matrix) of a map.
-
-    The topology fields are validated once and each blocklength once (the
-    payloads are positive integers already), in the order TopologyConfig
-    checks them, so a refused cell carries the message its own
-    TopologyConfig would raise; short blocklengths warn once each.  The
-    other cells are evaluated in one batch at a fixed split, or each by its
-    own power-split search.
-    """
     try:
         base = TopologyConfig(total_snr=snr, eta=eta, beta=beta, path_loss_exp=path_loss_exp,
                               n_s=MIN_BLOCKLENGTH, n_r=MIN_BLOCKLENGTH, k=1)
@@ -448,20 +429,20 @@ def _region(protocol, snr, ns, ks, backend, convention, eta, beta, path_loss_exp
     kept = [n for n in ns if n not in refused]
     width = len(ks)
     n_col, k_col = [n for n in kept for _ in ks], list(ks) * len(kept)
-    success: "list[float]" = []
+    outage: "list[float]" = []
     failures: "dict[int, FbrelayError]" = {}
     if optimize_power_split:
         for i, (n, k) in enumerate(zip(n_col, k_col)):
             cfg = dataclasses.replace(base, n_s=n, n_r=n, k=k, allow_short=allow_short)
             try:
-                success.append(1.0 - optimize_eta(protocol, cfg, backend, convention).eps_star)
+                outage.append(optimize_eta(protocol, cfg, backend, convention).eps_star)
             except FbrelayError as exc:
                 failures[i] = exc
-                success.append(math.nan)
+                outage.append(math.nan)
     elif kept:
-        cells = TopologyCells(base, n=n_col, k=k_col)
-        outage, _, failures = outages(protocol, cells, backend, convention)
-        success = (1.0 - outage).tolist()
+        values, _, failures = outages(protocol, TopologyCells(base, n=n_col, k=k_col), backend,
+                                      convention)
+        outage = values.tolist()
     failed_in_row: "dict[int, list[int]]" = {}
     for i in sorted(failures):
         failed_in_row.setdefault(i // width, []).append(i)
@@ -476,6 +457,15 @@ def _region(protocol, snr, ns, ks, backend, convention, eta, beta, path_loss_exp
             continue
         for i in failed_in_row.get(r, ()):
             errors.append(f"n={n} k={ks[i - r * width]}: {failures[i]}")
-        matrix.append(tuple(success[r * width:(r + 1) * width]))
+        matrix.append(tuple(outage[r * width:(r + 1) * width]))
         r += 1
-    return errors, matrix
+    return RegionGrid(
+        protocol=protocol,
+        convention=convention,
+        snr=snr,
+        eta=eta,
+        k_values=ks,
+        n_values=ns,
+        outage=tuple(matrix),
+        errors=tuple(errors),
+    )

@@ -5,7 +5,7 @@ Five subcommands under one ``fbrelay`` group:
 * ``outage``        one configuration, one number
 * ``sweep``         walk one axis across protocols and backends, CSV rows
 * ``optimize-eta``  best power split per protocol plus the scanned profiles
-* ``region``        success probability over an (n, k) grid
+* ``region``        outage over an (n, k) grid
 * ``validate``      cross-check the closed forms against the slow oracles
 
 Table commands share one flat CSV schema (see ``CSV_FIELDS``, the fields
@@ -401,7 +401,7 @@ def cmd_optimize_eta(ctx: click.Context, **_kw) -> None:
 @click.pass_context
 @_guarded
 def cmd_region(ctx: click.Context, **_kw) -> None:
-    """Map success probability over an (n, k) grid; one record per cell."""
+    """Map outage over an (n, k) grid; one record per cell."""
     p = ctx.params
     if int(p["k_step"]) < 1 or int(p["n_step"]) < 1:
         raise click.UsageError("--k-step and --n-step must be >= 1")
@@ -425,15 +425,10 @@ def cmd_region(ctx: click.Context, **_kw) -> None:
     head = (SCHEMA_VERSION, grid.protocol.value, backend.label, grid.convention.value,
             grid.snr.to_db(), grid.eta, float(p["beta"]), float(p["alpha"]))
     rows = []
-    for n, successes in zip(grid.n_values, grid.success):
-        for k, success in zip(grid.k_values, successes):
-            failed = math.isnan(success)
-            rows.append(head + (
-                n, n, k, k / n,
-                math.nan if failed else 1.0 - success,
-                None,
-                next(reasons).partition(": ")[2] if failed else None,
-            ))
+    for n, row in zip(grid.n_values, grid.outage):
+        for k, eps in zip(grid.k_values, row):
+            reason = next(reasons).partition(": ")[2] if math.isnan(eps) else None
+            rows.append(head + (n, n, k, k / n, eps, None, reason))
     _emit(rows, ctx)
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from ._cells import INF, POINT
+from ._cells import INF, POINT, exp_or_inf
 from .errors import DomainError, NumericError
 from .finite_blocklength import SnrValue
 from .linearization import (
@@ -177,17 +177,10 @@ def rayleigh_outage(
     return _rayleigh(POINT, rate_terms(POINT, n, rate, convention), p, n, rate)
 
 
-def _exp_or_inf(x: float) -> float:
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return INF
-
-
 def _exps(cells, args, context):
     """exp of each argument; a finite argument whose exp overflows fails the
     cell with a NumericError naming ``context`` (n, rate, omega_z, omega_y)."""
-    values = [cells.each(_exp_or_inf, a) for a in args]
+    values = [cells.each(exp_or_inf, a) for a in args]
     overflow = False
     for a, e in zip(args, values):
         overflow = overflow | ((e == INF) & (a < INF))

@@ -18,6 +18,7 @@ so the pair max_coding_rate/awgn_outage is an exact inverse pair.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -35,6 +36,10 @@ ndtri = lazy_binding(globals(), "scipy.special", "ndtri")
 #: Blocklengths below this make the normal approximation unreliable;
 #: RateSpec refuses them unless explicitly overridden.
 MIN_BLOCKLENGTH = 100
+
+#: The largest double.  A blocklength or payload above it cannot be converted
+#: to a float, which every formula here needs, so it is refused on entry.
+_DOUBLE_MAX = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -100,6 +105,8 @@ class RateSpec:
             raise DomainError(f"k must be a positive integer, got {self.k!r}")
         if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
             raise DomainError(f"n must be a positive integer, got {self.n!r}")
+        if self.k > _DOUBLE_MAX or self.n > _DOUBLE_MAX:
+            raise DomainError(_TOO_LARGE_MESSAGE.format("k" if self.k > _DOUBLE_MAX else "n"))
         if self.n < MIN_BLOCKLENGTH:
             if not self.allow_short:
                 raise DomainError(
@@ -120,12 +127,17 @@ class RateSpec:
 
 BLOCKLENGTH_MESSAGE = "blocklength must be >= 1, got {!r}"
 RATE_MESSAGE = "rate must be a positive finite number, got {!r}"
+# the value itself is left out: str() of an int past 4300 digits raises
+_TOO_LARGE_MESSAGE = f"{{}} exceeds the largest double, {_DOUBLE_MAX!r}"
 
 
 def _check_code(n: int, rate: "float | None" = None) -> None:
-    """Reject n below 1, then (when given) a rate that is not positive and finite."""
+    """Reject n below 1 or above the largest double, then (when given) a rate
+    that is not positive and finite."""
     if n < 1:
         raise DomainError(BLOCKLENGTH_MESSAGE.format(n))
+    if n > _DOUBLE_MAX:
+        raise DomainError(_TOO_LARGE_MESSAGE.format("blocklength"))
     if rate is not None and (not (rate > 0.0) or not math.isfinite(rate)):
         raise DomainError(RATE_MESSAGE.format(rate))
 

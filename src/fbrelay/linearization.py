@@ -37,14 +37,14 @@ import math
 from dataclasses import dataclass
 from typing import Literal
 
-from ._cells import POINT
+from ._cells import POINT, expm1_or_inf, pow2_or_inf
 from .errors import DomainError, NumericError
-from .finite_blocklength import SNR_RANGE_MESSAGE, SNR_ZERO_MESSAGE, SnrValue, _as_snr, _check_code
+from .finite_blocklength import (LN2, SNR_RANGE_MESSAGE, SNR_ZERO_MESSAGE, SnrValue, _as_snr,
+                                 _check_code)
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 SQRT_HALF_PI = math.sqrt(0.5 * math.pi)
 _TWO_PI = 2.0 * math.pi
-_LN2 = math.log(2.0)
 
 
 class LinConvention(enum.Enum):
@@ -112,20 +112,6 @@ class LinearizationParams:
             raise DomainError("zeta must equal power * sqrt(2*pi) * mu exactly")
 
 
-def _pow2(x: float) -> float:
-    try:
-        return 2.0 ** x
-    except OverflowError:
-        return math.inf
-
-
-def _expm1(x: float) -> float:
-    try:
-        return math.expm1(x)
-    except OverflowError:
-        return math.inf
-
-
 def rate_terms(cells, n, rate, convention: LinConvention):
     """The rate-only part of the surrogate: (2^rate - 1, mu, half-width).
 
@@ -135,11 +121,11 @@ def rate_terms(cells, n, rate, convention: LinConvention):
     ``_cells``); n and rate must already be valid.  Rates of a few hundred
     bits per use overflow these terms, which fails the cell.
     """
-    pow2m1 = cells.each(_pow2, rate) - 1.0
+    pow2m1 = cells.each(pow2_or_inf, rate) - 1.0
     if convention is LinConvention.NATS:
-        spread = cells.each(_expm1, 2.0 * rate)  # e^(2R) - 1
+        spread = cells.each(expm1_or_inf, 2.0 * rate)  # e^(2R) - 1
     else:
-        spread = cells.each(_expm1, 2.0 * rate * _LN2)  # 2^(2R) - 1
+        spread = cells.each(expm1_or_inf, 2.0 * rate * LN2)  # 2^(2R) - 1
     cells.fail((pow2m1 == math.inf) | (spread == math.inf), NumericError,
                "surrogate rate terms overflowed double precision (n={}, rate={!r})", n, rate)
     mu = cells.sqrt(n / _TWO_PI) / cells.sqrt(spread)

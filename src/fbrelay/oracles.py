@@ -54,7 +54,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 from scipy.special import erfc
 
-from ._cells import INF, POINT
+from ._cells import INF, POINT, expm1_or_inf
 from ._estimates import EstimateMethod, ExponentialDensity, OutageEstimate
 from .closed_form import HypoexpParams, hypoexp_cdf, hypoexp_pdf
 from .errors import ConvergenceError, DomainError, NumericError
@@ -137,6 +137,11 @@ _START_PANELS = 8
 
 #: Most panels a partition may hold (QUADPACK's limit is 400 subintervals).
 _PANEL_LIMIT = 400
+
+#: The fixed cross-check's rule: equal panels per cut interval, and
+#: Gauss-Legendre nodes per panel.
+_FIXED_PANELS = 96
+_FIXED_ORDER = 16
 
 _MIN_TRIALS = 10_000
 
@@ -361,18 +366,11 @@ def _check_converged(cells, status, cuts, abs_tol: float) -> None:
                cuts, _PANEL_LIMIT, abs_tol)
 
 
-def _expm1_or_inf(x: float) -> float:
-    try:
-        return math.expm1(x)
-    except OverflowError:
-        return INF
-
-
 def _transition_window(cells, n, rate):
     """(w0, w_lo, w_hi): the SNR where the conditional error crosses 1/2 and
     the points where its Gaussian argument saturates at ±42 sigma, at one
     point or per cell of a Grid (see ``_cells``)."""
-    spread = cells.each(_expm1_or_inf, 2.0 * rate * LN2)  # 2^(2 rate) - 1, the first to overflow
+    spread = cells.each(expm1_or_inf, 2.0 * rate * LN2)  # 2^(2 rate) - 1, the first to overflow
     cells.fail(spread == INF, NumericError,
                "true-tail quadrature: transition window overflowed double precision "
                "(n={}, rate={!r})", n, rate)
@@ -487,13 +485,7 @@ def _true_tail_chunk(n, rate, z, y, window, abs_tol):
     return failed, status, np.where(value < 0.0, 0.0, np.where(value > 1.0, 1.0, value))
 
 
-def fading_outage_quadrature_fixed(
-    n: int,
-    rate: float,
-    channel,
-    panels: int = 96,
-    order: int = 16,
-) -> float:
+def fading_outage_quadrature_fixed(n: int, rate: float, channel) -> float:
     """Fixed-rule cross-check for fading_outage_quadrature.
 
     Composite Gauss-Legendre on the same axis splits, with a deterministic
@@ -503,8 +495,7 @@ def fading_outage_quadrature_fixed(
     branch's mean, which can be far below a panel's width, so that rise
     gets a cut interval of its own.
     """
-    if panels < 1 or order < 2:
-        raise DomainError(f"need panels >= 1 and order >= 2, got {panels!r}, {order!r}")
+    _check_code(n, rate)
     density = _as_density(channel)
     head, cuts = _axis_cuts(_transition_window(POINT, n, rate), density)
     if isinstance(density, ExponentialDensity):
@@ -517,12 +508,12 @@ def fading_outage_quadrature_fixed(
         def pdf(x: float) -> float:
             return hypoexp_pdf(x, density)
 
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes, weights = np.polynomial.legendre.leggauss(_FIXED_ORDER)
     total = head
     for a, b in zip(cuts, cuts[1:]):
         if b <= a:
             continue
-        edges = np.linspace(a, b, panels + 1)
+        edges = np.linspace(a, b, _FIXED_PANELS + 1)
         for left, right in zip(edges, edges[1:]):
             mid = 0.5 * (left + right)
             half = 0.5 * (right - left)

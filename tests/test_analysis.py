@@ -174,6 +174,23 @@ class TestReliabilityRegion:
         eps = protocol_outage("mrc", cfg, Backend.closed_form()).value
         assert grid.success[0][0] == pytest.approx(1.0 - eps, rel=1e-14)
 
+    @pytest.mark.parametrize("protocol", ["dt", "df", "sc", "mrc"])
+    def test_outage_is_each_cell_bit_for_bit_in_the_ur_region(self, protocol):
+        """The map keeps the outage itself: at 90 and 150 dB, where 1 - outage
+        keeps few digits or none, each cell is ``protocol_outage`` exactly,
+        and ``success`` is 1 - outage."""
+        for db in (90.0, 150.0):
+            snr = SnrValue.from_db(db)
+            grid = reliability_region(protocol, snr, [500], [10, 100], Backend.closed_form())
+            for k, eps, success in zip(grid.k_values, grid.outage[0], grid.success[0]):
+                cfg = TopologyConfig(total_snr=snr, eta=0.5, n_s=500, n_r=500, k=k)
+                want = protocol_outage(protocol, cfg, Backend.closed_form()).value
+                assert eps.hex() == want.hex()
+                assert success.hex() == (1.0 - want).hex()
+        if protocol == "dt":
+            assert grid.outage[0][0] == 1.3959479790029094e-17
+            assert grid.success[0][0] == 1.0
+
     def test_success_monotone_in_payload_and_blocklength(self):
         grid = reliability_region(
             "mrc", TEN_DB, [200, 400, 800], [20, 40, 80, 160], Backend.closed_form(),
@@ -191,6 +208,11 @@ class TestReliabilityRegion:
             reliability_region("mrc", TEN_DB, [200], [40, 40], Backend.closed_form())
         with pytest.raises(DomainError):
             reliability_region("mrc", TEN_DB, [], [40], Backend.closed_form())
+
+    def test_integers_past_the_largest_double_are_domain_errors(self):
+        for ns, ks in (([10 ** 400], [10]), ([500], [10 ** 400])):
+            with pytest.raises(DomainError, match="exceeds the largest double"):
+                reliability_region("dt", TEN_DB, ns, ks, Backend.closed_form())
 
     def test_rate_ceiling_is_an_entry_precondition(self):
         with pytest.raises(DomainError, match="bits per channel use"):
@@ -257,11 +279,11 @@ class TestReliabilityRegion:
         common = dict(protocol=ProtocolKind.MRC, convention=LinConvention.NATS,
                       snr=TEN_DB, eta=0.5, k_values=(10,), n_values=(200,))
         with pytest.raises(DomainError):
-            RegionGrid(success=((0.5, 0.6),), **common)  # row wider than k_values
+            RegionGrid(outage=((0.5, 0.6),), **common)  # row wider than k_values
         with pytest.raises(DomainError):
-            RegionGrid(success=((1.5,),), **common)  # not a probability
+            RegionGrid(outage=((1.5,),), **common)  # not a probability
         with pytest.raises(DomainError):
-            RegionGrid(success=(), **common)  # no row for the one blocklength
+            RegionGrid(outage=(), **common)  # no row for the one blocklength
 
     def test_eta_continuity_at_the_reference_config(self):
         # the curve is steep near eta -> 0, so flat step caps misfire; probe

@@ -231,6 +231,21 @@ class TestRegion:
         outages = [float(r["outage"]) for r in rows]
         assert all(b > a for a, b in zip(outages, outages[1:]))
 
+    @pytest.mark.parametrize("db, want", [
+        ("90", "1.3959479789931662e-11"),
+        ("150", "1.3959479790029094e-17"),  # 1 - outage rounds to 1 here
+    ])
+    def test_ultra_reliable_cell_prints_the_outage(self, runner, db, want):
+        """A map cell prints the outage ``outage`` prints, not 1 - (1 - outage)."""
+        grid = ["--n-min", "500", "--n-max", "500", "--k-min", "10", "--k-max", "10"]
+        printed = []
+        for argv in (["region", *grid], ["outage", "--n", "500", "--k", "10"]):
+            result = runner.invoke(main, [*argv, "--protocol", "dt", "--snr-db", db])
+            assert result.exit_code == 0, result.output
+            (row,) = parse_csv(result.output)[1]
+            printed.append(row["outage"])
+        assert printed == [want, want]
+
     def test_empty_grid_rejected(self, runner):
         result = runner.invoke(
             main, ["region", "--k-min", "50", "--k-max", "40",

@@ -3,7 +3,10 @@
 ``tests/data/cli_fixture.json`` was written by ``scripts/cli_fixture.py``
 from the commit before the oracles and scipy were imported lazily; the
 ``region_failed_cells_*`` and ``config_*`` cases were added from the commit
-before the config file went through click's default map.  Every recorded
+before the config file went through click's default map.  ``region_csv``
+was re-recorded when region maps began to print the outage they computed
+instead of 1 - (1 - outage); only its outage column moved, by at most
+5.6e-17.  Every recorded
 invocation must give the same exit code, the same stdout, the same
 ``--output`` file and, where recorded, the same stderr, byte for byte.
 """

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 
 import pytest
@@ -61,6 +62,14 @@ class TestRateSpec:
     def test_rejects_bad_integers(self, k, n):
         with pytest.raises(DomainError):
             RateSpec(k, n)
+
+    @pytest.mark.parametrize("k,n", [(10 ** 400, 500), (250, 10 ** 400), (1, 2 ** 1024)],
+                             ids=["k", "n", "n-2^1024"])
+    def test_rejects_integers_past_the_largest_double(self, k, n):
+        with pytest.raises(DomainError, match="exceeds the largest double"):
+            RateSpec(k, n)
+        largest = int(sys.float_info.max)
+        assert RateSpec(min(k, largest), min(n, largest)).rate == min(k, largest) / min(n, largest)
 
 
 class TestCapacityAndDispersion:

@@ -591,6 +591,19 @@ class TestHugeBlocklength:
                              (fading_outage_mc, (20_000, 1))):
             assert oracle(n, 0.5, 10.0, *args) == oracle(2 ** 64 - 1, 0.5, 10.0, *args)
 
+    @pytest.mark.parametrize("call", [
+        lambda n: linearize(n, 0.5, 10.0),
+        lambda n: rayleigh_outage(n, 0.5, 10.0),
+        lambda n: mrc_pair_outage(n, 0.5, HypoexpParams(10.0, 5.0)),
+        lambda n: fading_outage_quadrature(n, 0.5, 10.0),
+        lambda n: fading_outage_quadrature_fixed(n, 0.5, 10.0),
+        lambda n: fading_outage_mc(n, 0.5, 10.0, 20_000, 1),
+    ], ids=["linearize", "rayleigh", "pair", "quad", "quad-fixed", "mc"])
+    def test_past_the_largest_double_is_a_domain_error(self, call):
+        # float(n) would raise a bare OverflowError
+        with pytest.raises(DomainError, match="blocklength exceeds the largest double"):
+            call(10 ** 400)
+
 
 def test_convergence_error_is_a_numeric_error():
     from fbrelay import NumericError

@@ -4,7 +4,10 @@
 ``scripts/protocol_fixture.py``: the protocol records from the commit
 before the closed form, quadrature and Monte Carlo compositions were merged
 into one evaluator, and the driver records from the commit before the
-drivers' batched and per-cell paths were merged into one batch entry.
+drivers' batched and per-cell paths were merged into one batch entry.  The
+``sweep_blocklength_past_double_*`` records were appended when blocklengths
+past the largest double became a refused point instead of an
+``OverflowError``.
 Each ``protocol_outage`` and ``link_outages`` estimate must reproduce its
 recorded value and std_error as exact doubles, with the same method,
 trials and seed; each failure its exception type and message.  Monte

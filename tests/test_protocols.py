@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -394,3 +395,41 @@ def test_quadrature_coarse_scan_batch_equals_each_cell(db, n_s, n_r, k):
                    else [type(exc), str(exc)])
             assert got == _per_cell(protocol, base, "eta", eta, Backend.quadrature(), "nats")
     assert (failed > 0) == (k / min(n_s, n_r) > 512)
+
+
+@pytest.mark.filterwarnings("ignore:blocklength n=")
+def test_quadrature_batch_past_the_product_overflow_equals_each_cell(monkeypatch):
+    """At 510 bits per use the quadrature's nodes pass 1e154, where w (2 + w)
+    overflows, so a batch takes the per-row branch of
+    ``oracles._conditional_outage_np``.  Each cell is ``protocol_outage`` of
+    its topology bit for bit, failures included."""
+    from fbrelay import oracles
+
+    ns = [n for n in (1, 2, 3, 4) for _ in range(4)]
+    ks = [510 * n for n in ns]
+    etas = [0.3, 0.5, 0.9, 1.0] * 4
+    base = TopologyConfig(total_snr=TEN_DB, eta=0.5, n_s=1, n_r=1, k=510, allow_short=True)
+    per_row = []
+    conditional = oracles._conditional_outage_np
+
+    def spy(n, rate, w):
+        if np.ndim(n) and np.maximum.reduce(w, axis=None) > 1e154:
+            per_row.append(n.shape)
+        return conditional(n, rate, w)
+
+    monkeypatch.setattr(oracles, "_conditional_outage_np", spy)
+    cells = protocols.TopologyCells(base, n=ns, k=ks, eta=etas)
+    for protocol in ("dt", "df", "sc", "mrc"):
+        outage, std_error, failures = protocols.outages(protocol, cells, Backend.quadrature())
+        for i, (n, k, eta) in enumerate(zip(ns, ks, etas)):
+            exc = failures.get(i)
+            got = ([outage[i].item().hex(), std_error[i]] if exc is None
+                   else [type(exc), str(exc)])
+            cfg = dataclasses.replace(base, n_s=n, n_r=n, k=k, eta=eta)
+            try:
+                est = protocol_outage(protocol, cfg, Backend.quadrature())
+            except FbrelayError as err:
+                assert got == [type(err), str(err)]
+            else:
+                assert got == [est.value.hex(), est.std_error]
+    assert per_row
