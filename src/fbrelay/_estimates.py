@@ -14,6 +14,7 @@ import importlib
 import math
 from dataclasses import dataclass
 
+from ._cells import INF, POINT
 from .errors import DomainError, NumericError
 
 
@@ -71,7 +72,26 @@ class OutageEstimate:
             raise DomainError(f"{self.method.value} estimates carry no sampling metadata")
 
 
+#: The fewest trials a Monte Carlo estimate may use.
+_MIN_TRIALS = 10_000
+
+
+def check_trials(trials) -> None:
+    """The Monte Carlo trials rule, shared by the oracle and its backend."""
+    if trials < _MIN_TRIALS:
+        raise DomainError(f"trials must be >= {_MIN_TRIALS}, got {trials!r}")
+
+
 EXPONENTIAL_MEAN_MESSAGE = "exponential mean must be positive and finite, got {!r}"
+
+
+def check_mean(cells, mean, template: str = EXPONENTIAL_MEAN_MESSAGE, *names, shown=None) -> None:
+    """A density's mean must be positive and finite, at one point or per
+    cell of a Grid (see ``_cells``).  ``mean`` is a float.  The message is
+    ``template`` (ExponentialDensity's by default) filled with ``names`` and
+    the mean, or ``shown`` where it is given, the mean as the caller gave it."""
+    cells.fail((mean != mean) | (mean <= 0.0) | (mean == INF), DomainError, template, *names,
+               mean if shown is None else shown)
 
 
 @dataclass(frozen=True)
@@ -81,9 +101,11 @@ class ExponentialDensity:
     mean: float
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.mean, (int, float)) and math.isfinite(self.mean) and self.mean > 0):
-            raise DomainError(EXPONENTIAL_MEAN_MESSAGE.format(self.mean))
-        object.__setattr__(self, "mean", float(self.mean))
+        POINT.fail(not isinstance(self.mean, (int, float)), DomainError, EXPONENTIAL_MEAN_MESSAGE,
+                   self.mean)
+        mean = float(self.mean)
+        check_mean(POINT, mean, shown=self.mean)
+        object.__setattr__(self, "mean", mean)
 
     def pdf(self, w: float) -> float:
         if w < 0.0:

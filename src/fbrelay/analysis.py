@@ -226,9 +226,7 @@ def sweep(
             if axis == "total_snr":
                 cfg = dataclasses.replace(base, total_snr=SnrValue(float(value)))
             elif axis == "blocklength":
-                n = int(value)
-                if n != value:
-                    raise DomainError(f"blocklength values must be integers, got {value!r}")
+                n = _as_int(value, "blocklength values")
                 cfg = dataclasses.replace(base, n_s=n, n_r=n)
             else:
                 cfg = dataclasses.replace(base, eta=float(value))
@@ -360,8 +358,19 @@ def optimize_eta(
     )
 
 
+def _as_int(value, what: str) -> int:
+    """value as an int; a non-integral, infinite or NaN value is refused."""
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or n != value:
+        raise DomainError(f"{what} must be integers, got {value!r}")
+    return n
+
+
 def _ascending_ints(values, what: str) -> "tuple[int, ...]":
-    out = tuple(int(v) for v in values)
+    out = tuple(_as_int(v, what) for v in values)
     if not out:
         raise DomainError(f"{what} must be non-empty")
     if any(v < 1 for v in out):

@@ -28,15 +28,15 @@ import math
 from dataclasses import dataclass, field
 
 from ._cells import INF, POINT, exp_or_inf
+from ._estimates import check_mean
 from .errors import DomainError, NumericError
-from .finite_blocklength import SnrValue
+from .finite_blocklength import SnrValue, check_snr
 from .linearization import (
     _RAMP_CHOICES,
     SQRT_2PI,
     SQRT_HALF_PI,
     LinConvention,
     RampSlope,
-    check_power,
     check_request,
     check_window,
     linearize,  # noqa: F401  (bench/worker.py traces calls through this name)
@@ -75,13 +75,20 @@ class HypoexpParams:
     def __post_init__(self) -> None:
         for name in ("omega_z", "omega_y"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
-                raise DomainError(MEAN_MESSAGE.format(name, v))
-            object.__setattr__(self, name, float(v))
+            POINT.fail(not isinstance(v, (int, float)), DomainError, MEAN_MESSAGE, name, v)
+            mean = float(v)
+            check_mean(POINT, mean, MEAN_MESSAGE, name, shown=v)
+            object.__setattr__(self, name, mean)
         tie = abs(self.omega_z - self.omega_y) <= TIE_TOLERANCE * max(
             self.omega_z, self.omega_y
         )
         object.__setattr__(self, "equal_means", tie)
+
+
+def check_means(cells, omega_z, omega_y) -> None:
+    """HypoexpParams' checks of its two means, for means given as plain floats."""
+    check_mean(cells, omega_z, MEAN_MESSAGE, "omega_z")
+    check_mean(cells, omega_y, MEAN_MESSAGE, "omega_y")
 
 
 def hypoexp_pdf(w: float, params: HypoexpParams) -> float:
@@ -149,7 +156,7 @@ def rayleigh_link(cells, terms, n, rate, omega, convention: LinConvention):
     (n, rate), or None to compute them here, after the SNR check, in the
     order ``linearize`` computes them.  Returns (outage, terms).
     """
-    check_power(cells, omega)
+    check_snr(cells, omega, positive=True)
     if terms is None:
         terms = rate_terms(cells, n, rate, convention)
     return _rayleigh(cells, terms, omega, n, rate), terms

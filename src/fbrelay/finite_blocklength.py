@@ -22,6 +22,7 @@ import sys
 import warnings
 from dataclasses import dataclass, field
 
+from ._cells import INF, POINT
 from ._estimates import lazy_binding
 from .errors import DomainError
 
@@ -41,6 +42,20 @@ MIN_BLOCKLENGTH = 100
 #: to a float, which every formula here needs, so it is refused on entry.
 _DOUBLE_MAX = sys.float_info.max
 
+SNR_RANGE_MESSAGE = "SNR must be a finite nonnegative ratio, got {!r}"
+SNR_ZERO_MESSAGE = "SNR must be strictly positive here"
+
+
+def check_snr(cells, value, positive: bool = False, shown=None) -> None:
+    """An SNR must be finite and nonnegative, and with ``positive`` nonzero,
+    at one point or per cell of a Grid (see ``_cells``).  ``value`` is the
+    SNR as a float; the message shows ``shown`` instead where it is given,
+    the SNR as the caller gave it."""
+    cells.fail((value != value) | (value < 0.0) | (value == INF), DomainError,
+               SNR_RANGE_MESSAGE, value if shown is None else shown)
+    if positive:
+        cells.fail(value == 0.0, DomainError, SNR_ZERO_MESSAGE)
+
 
 @dataclass(frozen=True)
 class SnrValue:
@@ -53,10 +68,7 @@ class SnrValue:
     value: float
 
     def __post_init__(self) -> None:
-        v = float(self.value)
-        if not math.isfinite(v) or v < 0.0:
-            raise DomainError(f"SNR must be a finite nonnegative ratio, got {self.value!r}")
-        object.__setattr__(self, "value", v)
+        object.__setattr__(self, "value", _as_snr(self.value))
 
     @classmethod
     def from_db(cls, db: float) -> "SnrValue":
@@ -73,17 +85,10 @@ class SnrValue:
         return self.value
 
 
-SNR_RANGE_MESSAGE = "SNR must be a finite nonnegative ratio, got {!r}"
-SNR_ZERO_MESSAGE = "SNR must be strictly positive here"
-
-
 def _as_snr(rho: "SnrValue | float", *, positive: bool = False) -> float:
     """Normalize an SNR argument to a validated linear float."""
     v = rho.value if isinstance(rho, SnrValue) else float(rho)
-    if not math.isfinite(v) or v < 0.0:
-        raise DomainError(SNR_RANGE_MESSAGE.format(rho))
-    if positive and v == 0.0:
-        raise DomainError(SNR_ZERO_MESSAGE)
+    check_snr(POINT, v, positive, shown=rho)
     return v
 
 
@@ -131,15 +136,13 @@ RATE_MESSAGE = "rate must be a positive finite number, got {!r}"
 _TOO_LARGE_MESSAGE = f"{{}} exceeds the largest double, {_DOUBLE_MAX!r}"
 
 
-def _check_code(n: int, rate: "float | None" = None) -> None:
+def check_code(cells, n, rate=None) -> None:
     """Reject n below 1 or above the largest double, then (when given) a rate
-    that is not positive and finite."""
-    if n < 1:
-        raise DomainError(BLOCKLENGTH_MESSAGE.format(n))
-    if n > _DOUBLE_MAX:
-        raise DomainError(_TOO_LARGE_MESSAGE.format("blocklength"))
-    if rate is not None and (not (rate > 0.0) or not math.isfinite(rate)):
-        raise DomainError(RATE_MESSAGE.format(rate))
+    that is not positive and finite, at one point or per cell of a Grid."""
+    cells.fail(n < 1, DomainError, BLOCKLENGTH_MESSAGE, n)
+    cells.fail(n > _DOUBLE_MAX, DomainError, _TOO_LARGE_MESSAGE, "blocklength")
+    if rate is not None:
+        cells.fail((rate != rate) | (rate <= 0.0) | (rate == INF), DomainError, RATE_MESSAGE, rate)
 
 
 def shannon_capacity(rho: "SnrValue | float") -> float:
@@ -182,7 +185,7 @@ def max_coding_rate(n: int, eps: float, rho: "SnrValue | float") -> float:
     May be negative for tiny eps at small n; returned as-is so callers can
     treat "no positive rate works" explicitly.
     """
-    _check_code(n)
+    check_code(POINT, n)
     if not (0.0 < eps < 1.0):
         raise DomainError(f"target error probability must lie in (0, 1), got {eps!r}")
     r = _as_snr(rho, positive=True)
@@ -196,7 +199,7 @@ def awgn_outage(n: int, rate: float, rho: "SnrValue | float") -> float:
 
     Exact inverse of max_coding_rate: awgn_outage(n, max_coding_rate(n, e, rho), rho) == e.
     """
-    _check_code(n, rate)
+    check_code(POINT, n, rate)
     r = _as_snr(rho, positive=True)
     c = shannon_capacity(r)
     v = channel_dispersion(r)

@@ -39,8 +39,7 @@ from typing import Literal
 
 from ._cells import POINT, expm1_or_inf, pow2_or_inf
 from .errors import DomainError, NumericError
-from .finite_blocklength import (LN2, SNR_RANGE_MESSAGE, SNR_ZERO_MESSAGE, SnrValue, _as_snr,
-                                 _check_code)
+from .finite_blocklength import LN2, SnrValue, _as_snr, check_code
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 SQRT_HALF_PI = math.sqrt(0.5 * math.pi)
@@ -132,13 +131,6 @@ def rate_terms(cells, n, rate, convention: LinConvention):
     return pow2m1, mu, SQRT_HALF_PI / mu
 
 
-def check_power(cells, power) -> None:
-    """The power checks of ``linearize``, for powers given as plain floats."""
-    cells.fail((power != power) | (power < 0.0) | (power == math.inf), DomainError,
-               SNR_RANGE_MESSAGE, power)
-    cells.fail(power == 0.0, DomainError, SNR_ZERO_MESSAGE)
-
-
 def check_window(cells, theta, half) -> None:
     """Fail where the ramp window is narrower than one ulp of the threshold:
     the surrogate cannot be represented at this scale, which is a numeric
@@ -157,7 +149,7 @@ def ramp(coeff, theta):
 
 def check_request(n, rate, power) -> float:
     """Validate one (n, rate, power) request; returns the linear power."""
-    _check_code(n, rate)
+    check_code(POINT, n, rate)
     return _as_snr(power, positive=True)
 
 

@@ -55,17 +55,10 @@ import numpy as np
 from scipy.special import erfc
 
 from ._cells import INF, POINT, expm1_or_inf
-from ._estimates import EstimateMethod, ExponentialDensity, OutageEstimate
+from ._estimates import EstimateMethod, ExponentialDensity, OutageEstimate, check_trials
 from .closed_form import HypoexpParams, hypoexp_cdf, hypoexp_pdf
 from .errors import ConvergenceError, DomainError, NumericError
-from .finite_blocklength import (
-    BLOCKLENGTH_MESSAGE,
-    LN2,
-    RATE_MESSAGE,
-    SnrValue,
-    _check_code,
-    outage_given_snr,
-)
+from .finite_blocklength import LN2, SnrValue, check_code, outage_given_snr
 from .linearization import LinearizationParams, RampSlope, ramp_coefficients
 
 #: Environment variable capping worker threads for partitioned sampling.
@@ -142,8 +135,6 @@ _PANEL_LIMIT = 400
 #: Gauss-Legendre nodes per panel.
 _FIXED_PANELS = 96
 _FIXED_ORDER = 16
-
-_MIN_TRIALS = 10_000
 
 
 #: Channel descriptions accepted by the oracle backends: a single Rayleigh
@@ -408,7 +399,7 @@ def fading_outage_quadrature(
     link), an ExponentialDensity, or HypoexpParams for the combined link.
     """
     abs_tol = _check_abs_tol(abs_tol)
-    _check_code(n, rate)
+    check_code(POINT, n, rate)
     density = _as_density(channel)
     head, cuts = _axis_cuts(_transition_window(POINT, n, rate), density)
 
@@ -432,8 +423,7 @@ def true_tail_outages(cells, n, rate, omega_z, omega_y=None, abs_tol: float = 1e
     returns.  Returns the values, meaningless at failed cells.
     """
     abs_tol = _check_abs_tol(abs_tol)
-    cells.fail(n < 1, DomainError, BLOCKLENGTH_MESSAGE, n)  # _check_code, per cell
-    cells.fail((rate != rate) | (rate <= 0.0) | (rate == INF), DomainError, RATE_MESSAGE, rate)
+    check_code(cells, n, rate)
     window = _transition_window(cells, n, rate)
     if omega_y is None:
         omega_y = np.full(cells.alive.shape, np.nan)
@@ -495,7 +485,7 @@ def fading_outage_quadrature_fixed(n: int, rate: float, channel) -> float:
     branch's mean, which can be far below a panel's width, so that rise
     gets a cut interval of its own.
     """
-    _check_code(n, rate)
+    check_code(POINT, n, rate)
     density = _as_density(channel)
     head, cuts = _axis_cuts(_transition_window(POINT, n, rate), density)
     if isinstance(density, ExponentialDensity):
@@ -647,11 +637,10 @@ def fading_outage_mc(
     sqrt(trials).  Distinct `stream` values give statistically independent
     runs from the same seed — the per-link streams of the protocol layer.
     """
-    if trials < _MIN_TRIALS:
-        raise DomainError(f"trials must be >= {_MIN_TRIALS}, got {trials!r}")
+    check_trials(trials)
     if partitions < 1:
         raise DomainError(f"partitions must be >= 1, got {partitions!r}")
-    _check_code(n, rate)
+    check_code(POINT, n, rate)
     density = _as_density(channel)
 
     base, extra = divmod(trials, partitions)

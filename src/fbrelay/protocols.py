@@ -41,24 +41,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._cells import INF, POINT, Grid
+from ._cells import POINT, Grid
 from ._estimates import (
-    EXPONENTIAL_MEAN_MESSAGE,
     EstimateMethod,
     ExponentialDensity,
     OutageEstimate,
+    check_mean,
+    check_trials,
     lazy_binding,
 )
 from .closed_form import (
-    MEAN_MESSAGE,
     HypoexpParams,
+    check_means,
     mrc_pair_outage,  # noqa: F401  (bench/worker.py traces calls through this name)
     pair_link,
     rayleigh_link,
     rayleigh_outage,  # noqa: F401  (bench/worker.py traces calls through this name)
 )
 from .errors import DomainError, FbrelayError, NumericError
-from .finite_blocklength import RateSpec, SnrValue, _as_snr
+from .finite_blocklength import RateSpec, SnrValue
 from .linearization import LinConvention
 
 # The oracles load scipy; the closed backend never calls them.
@@ -103,7 +104,8 @@ class BackendKind(enum.Enum):
 
 @dataclass(frozen=True)
 class Backend:
-    """Evaluation backend selector; Monte Carlo carries its trials and seed."""
+    """Evaluation backend selector; Monte Carlo carries its trials, at least
+    the oracle's minimum, and its seed."""
 
     kind: BackendKind
     trials: "int | None" = None
@@ -113,8 +115,7 @@ class Backend:
         if self.kind is BackendKind.MONTE_CARLO:
             if self.trials is None or self.seed is None:
                 raise DomainError("Monte Carlo backend requires trials and seed")
-            if self.trials < 1:
-                raise DomainError(f"trials must be positive, got {self.trials!r}")
+            check_trials(self.trials)
         elif self.trials is not None or self.seed is not None:
             raise DomainError(f"{self.kind.value} backend takes no trials/seed")
 
@@ -178,9 +179,7 @@ class TopologyConfig:
     allow_short: bool = False
 
     def __post_init__(self) -> None:
-        snr = self.total_snr if isinstance(self.total_snr, SnrValue) else SnrValue(
-            _as_snr(self.total_snr)
-        )
+        snr = self.total_snr if isinstance(self.total_snr, SnrValue) else SnrValue(self.total_snr)
         object.__setattr__(self, "total_snr", snr)
         if snr.value <= 0.0:
             raise DomainError("total_snr must be strictly positive")
@@ -370,18 +369,6 @@ class _ValueLinks:
         return OutageEstimate(value=_compose(POINT, compose, links), method=self.method)
 
 
-def _check_mean(cells, omega, template: str, *names) -> None:
-    """The check of a density's mean: positive and finite."""
-    cells.fail((omega != omega) | (omega <= 0.0) | (omega == INF), DomainError,
-               template, *names, omega)
-
-
-def _check_means(cells, omega_z, omega_y) -> None:
-    """HypoexpParams' checks of its two means."""
-    _check_mean(cells, omega_z, MEAN_MESSAGE, "omega_z")
-    _check_mean(cells, omega_y, MEAN_MESSAGE, "omega_y")
-
-
 class _ClosedLinks(_ValueLinks):
     """The closed form's link stage: the kernels, at POINT or over a Grid."""
 
@@ -395,7 +382,7 @@ class _ClosedLinks(_ValueLinks):
 
     @staticmethod
     def pair(cells, _sd, omega_sd, omega_rd, n_s, n_r, rate_s, pow2m1, mu, half):
-        _check_means(cells, omega_sd, omega_rd)
+        check_means(cells, omega_sd, omega_rd)
         cells.fail(n_s != n_r, DomainError, _MIXED_FRAMING, n_s, n_r)
         return pair_link(cells, (pow2m1, mu, half), n_s, rate_s, omega_sd, omega_rd)
 
@@ -413,7 +400,7 @@ class _QuadLinks(_ValueLinks):
         if cells is POINT:
             value = fading_outage_quadrature(n, rate, ExponentialDensity(omega)).value
         else:
-            _check_mean(cells, omega, EXPONENTIAL_MEAN_MESSAGE)  # ExponentialDensity's check
+            check_mean(cells, omega)  # ExponentialDensity's check
             value = true_tail_outages(cells, n, rate, omega)
         return value, (None, None, None)
 
@@ -424,7 +411,7 @@ class _QuadLinks(_ValueLinks):
         # governs, mixed framing included.
         if cells is POINT:
             return fading_outage_quadrature(n_s, rate_s, HypoexpParams(omega_sd, omega_rd)).value
-        _check_means(cells, omega_sd, omega_rd)
+        check_means(cells, omega_sd, omega_rd)
         return true_tail_outages(cells, n_s, rate_s, omega_sd, omega_rd)
 
 

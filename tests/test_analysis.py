@@ -76,6 +76,14 @@ class TestSweep:
         assert "blocklength" in rows[0].error
         assert rows[1].error is None and rows[1].outage > 0.0
 
+    @pytest.mark.parametrize("value, shown", [(250.7, "250.7"), (math.inf, "inf"),
+                                              (math.nan, "nan")])
+    def test_non_integral_blocklength_becomes_error_row(self, value, shown):
+        rows = sweep("dt", BASE_CFG, "blocklength", [value], Backend.closed_form())
+        assert [r.error for r in rows] == [
+            f"blocklength={shown}: blocklength values must be integers, got {shown}"]
+        assert math.isnan(rows[0].outage)
+
     def test_quadrature_overflow_becomes_error_row(self):
         with pytest.warns(UserWarning, match="n=1"):
             cfg = TopologyConfig(total_snr=TEN_DB, eta=0.5, n_s=1, n_r=1, k=600,
@@ -213,6 +221,15 @@ class TestReliabilityRegion:
         for ns, ks in (([10 ** 400], [10]), ([500], [10 ** 400])):
             with pytest.raises(DomainError, match="exceeds the largest double"):
                 reliability_region("dt", TEN_DB, ns, ks, Backend.closed_form())
+
+    @pytest.mark.parametrize("value, shown", [(250.7, "250.7"), (math.inf, "inf"),
+                                              (math.nan, "nan")])
+    def test_non_integral_grid_values_are_refused(self, value, shown):
+        # the sweep's integer rule: nothing is truncated or escapes untyped
+        for ns, ks, what in (([value], [10], "n_values"), ([500], [value], "k_values")):
+            with pytest.raises(DomainError) as info:
+                reliability_region("dt", TEN_DB, ns, ks, Backend.closed_form())
+            assert str(info.value) == f"{what} must be integers, got {shown}"
 
     def test_rate_ceiling_is_an_entry_precondition(self):
         with pytest.raises(DomainError, match="bits per channel use"):

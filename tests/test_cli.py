@@ -190,6 +190,22 @@ class TestSweep:
         _, rows = parse_csv(result.output)
         assert [r["n_s"] for r in rows] == ["200", "400", "600"]
 
+    def test_too_few_trials_refused_before_any_row(self, runner):
+        result = runner.invoke(
+            main, ["sweep", "--backend", "mc", "--trials", "5000", "--seed", "1",
+                   "--start", "0", "--stop", "10", "--points", "3"]
+        )
+        assert result.exit_code == 2
+        assert "trials must be >= 10000, got 5000" in result.output
+
+    def test_blocklength_axis_refuses_n_relay(self, runner):
+        result = runner.invoke(
+            main, ["sweep", "--axis", "blocklength", "--n-relay", "300",
+                   "--start", "200", "--stop", "600", "--points", "3"]
+        )
+        assert result.exit_code == 2
+        assert "--n-relay does not apply to a blocklength sweep" in result.output
+
 
 class TestOptimizeEta:
     def test_summary_lines_and_rows(self, runner):
@@ -216,6 +232,12 @@ class TestOptimizeEta:
         assert summary["protocol"] == "mrc"
         assert summary["eta_star"] == pytest.approx(0.7165631459994952, abs=2e-3)
         assert summary["multimodal"] is False
+
+
+    def test_trials_and_seed_refused_as_elsewhere(self, runner):
+        result = runner.invoke(main, ["optimize-eta", "--trials", "1e5", "--seed", "3"])
+        assert result.exit_code == 2
+        assert "--trials/--seed only apply when an mc backend is selected" in result.output
 
 
 class TestRegion:
@@ -261,6 +283,25 @@ class TestRegion:
         )
         assert result.exit_code == 2
 
+    def test_n_relay_refused(self, runner):
+        result = runner.invoke(
+            main, ["region", "--protocol", "df", "--n-relay", "300", "--k-min", "10",
+                   "--k-max", "10", "--n-min", "500", "--n-max", "500"]
+        )
+        assert result.exit_code == 2
+        assert "--n-relay does not apply to region" in result.output
+
+    def test_n_and_k_still_accepted(self, runner):
+        # a map takes n and k from its grid; --n and --k are echoed and kept
+        # for scripts that pass one topology to every command
+        result = runner.invoke(
+            main, ["region", "--n", "300", "--k", "20", "--k-min", "10", "--k-max", "10",
+                   "--n-min", "500", "--n-max", "500"]
+        )
+        assert result.exit_code == 0, result.output
+        (row,) = parse_csv(result.output)[1]
+        assert (row["n_s"], row["n_r"], row["k"]) == ("500", "500", "10")
+
 
 class TestValidate:
     def test_quick_run_passes(self, runner):
@@ -269,6 +310,15 @@ class TestValidate:
         assert "deterministic: PASS" in result.output
         assert "stochastic: PASS" in result.output
         assert "all validation suites passed" in result.output
+
+    def test_full_run_passes(self, runner):
+        # Monte Carlo is compared with quadrature of the same true tail, so
+        # the allowed 4 sigma covers the whole gap; the surrogate's bias
+        # (3.22e-3 at n=200, 0 dB) is the deterministic suite's business
+        result = runner.invoke(main, ["validate", "--full"])
+        assert result.exit_code == 0, result.output
+        assert "stochastic: PASS (7 cases" in result.output
+        assert "at fading_outage_quadrature n=200 k=100" in result.output
 
     def test_snr_points_floor(self, runner):
         result = runner.invoke(main, ["validate", "--snr-points", "0"])

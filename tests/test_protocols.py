@@ -18,6 +18,7 @@ from fbrelay import (
     ProtocolKind,
     SnrValue,
     TopologyConfig,
+    fading_outage_mc,
     link_outages,
     protocol_outage,
     rayleigh_outage,
@@ -89,6 +90,14 @@ class TestBackend:
             Backend(BackendKind.MONTE_CARLO)
         with pytest.raises(DomainError):
             Backend(BackendKind.MONTE_CARLO, trials=0, seed=1)
+
+    def test_mc_trials_below_the_oracle_minimum_rejected(self):
+        # the oracle's own rule and message, at construction instead of per cell
+        for make in (lambda: Backend.monte_carlo(5000, 1),
+                     lambda: fading_outage_mc(500, 0.5, 10.0, 5000, 1)):
+            with pytest.raises(DomainError, match=r"^trials must be >= 10000, got 5000$"):
+                make()
+        assert Backend.monte_carlo(10_000, 1).trials == 10_000
 
     def test_deterministic_backends_take_none(self):
         with pytest.raises(DomainError):
