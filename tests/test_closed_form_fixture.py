@@ -1,13 +1,9 @@
 """The closed backend against a bit-for-bit record of the per-cell path.
 
 ``tests/data/closed_form_fixture.json`` was written by
-``scripts/closed_form_fixture.py`` from the commit before the closed forms
-were batched, when every cell was evaluated one point at a time.  Values
-are compared as exact doubles and failures by exception type and message.
-
-The one intended difference: where a combined link's exponential overflowed
-double precision, the per-cell path raised a bare ``OverflowError``; it now
-raises ``NumericError`` (and a map reports the cell as failed).
+``scripts/closed_form_fixture.py``, which evaluates every cell one point at
+a time through the scalar entry points.  Values are compared as exact
+doubles and failures by exception type and message.
 """
 
 from __future__ import annotations
@@ -47,25 +43,17 @@ OVERFLOW = "mrc_pair_outage: exp overflowed in the surrogate average"
 
 
 def expected(recorded):
-    """(value, None) or (None, (type name, message)) with the overflow fix applied."""
+    """(value, None) or (None, (type name, message))."""
     if isinstance(recorded, str):
         return float.fromhex(recorded), None
-    kind, message = recorded
-    if kind == "OverflowError":
-        return None, ("NumericError", OVERFLOW)
-    return None, (kind, message)
+    return None, tuple(recorded)
 
 
 def matches(recorded, value=None, exc=None) -> bool:
     want_value, want_error = expected(recorded)
     if want_error is None:
         return exc is None and value == want_value
-    if exc is None:
-        return False
-    kind, message = want_error
-    if kind == "NumericError" and message == OVERFLOW:
-        return type(exc) is NumericError and str(exc).startswith(OVERFLOW)
-    return type(exc).__name__ == kind and str(exc) == message
+    return exc is not None and (type(exc).__name__, str(exc)) == want_error
 
 
 def outcome(thunk):
@@ -131,14 +119,12 @@ def test_region_maps(spec):
         for j, k in enumerate(spec["k_values"]):
             recorded = spec["cells"][i][j]
             want_value, want_error = expected(recorded)
-            success = grid.success[i][j]
+            outage = grid.outage[i][j]
             if want_error is None:
-                assert success == 1.0 - want_value and f"n={n} k={k}" not in errors, (n, k)
+                assert outage == want_value and f"n={n} k={k}" not in errors, (n, k)
             else:
-                assert math.isnan(success), (n, k)
-                message = errors[f"n={n} k={k}"]
-                want = want_error[1]
-                assert message.startswith(OVERFLOW) if want == OVERFLOW else message == want
+                assert math.isnan(outage), (n, k)
+                assert errors[f"n={n} k={k}"] == want_error[1], (n, k)
 
 
 @pytest.mark.parametrize("spec", FIXTURE["maps"], ids=lambda s: s["name"])
@@ -227,10 +213,7 @@ class TestErrorParity:
         want = [(f"n={n} k={k}", expected(s["cells"][i][j])[1][1])
                 for i, n in enumerate(s["n_values"]) for j, k in enumerate(s["k_values"])
                 if isinstance(s["cells"][i][j], list)]
-        got = [tuple(e.split(": ", 1)) for e in grid.errors]
-        assert [g[0] for g in got] == [w[0] for w in want]
-        for (_, message), (_, recorded) in zip(got, want):
-            assert message.startswith(OVERFLOW) if recorded == OVERFLOW else message == recorded
+        assert [tuple(e.split(": ", 1)) for e in grid.errors] == want
 
     def test_short_blocklength_warnings_unchanged(self):
         s = self.SPEC
