@@ -13,7 +13,8 @@ that overflows.
 
 It also records the drivers on those backends: ``sweep`` rows along each
 axis (eta up to 1, mixed framing, refused points, path-loss overflow),
-``reliability_region`` maps at a fixed split and with per-cell split
+``reliability_region`` maps (their outage, which 1 - outage would round
+away below about 1.1e-16) at a fixed split and with per-cell split
 optimization (short blocklengths with and without ``allow_short``,
 overflowing cells), ``optimize_eta`` searches (one fails in its coarse
 scan), closed and quadrature sweeps and maps whose blocklength or
@@ -239,7 +240,7 @@ def _region(a: dict) -> dict:
         backend(a["backend"], a["seed"])[0], a["convention"], eta=a["eta"], beta=a["beta"],
         path_loss_exp=a["path_loss_exp"], allow_short=a["allow_short"],
         optimize_power_split=a["optimize_power_split"])
-    return {"success": [[x.hex() for x in row] for row in grid.success],
+    return {"outage": [[x.hex() for x in row] for row in grid.outage],
             "errors": list(grid.errors)}
 
 

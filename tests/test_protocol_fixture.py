@@ -7,7 +7,9 @@ into one evaluator, and the driver records from the commit before the
 drivers' batched and per-cell paths were merged into one batch entry.  The
 ``sweep_blocklength_past_double_*`` records were appended when blocklengths
 past the largest double became a refused point instead of an
-``OverflowError``.
+``OverflowError``.  The ``region_*`` records hold each map's outage; they
+were re-recorded from its success 1 - outage, which they reproduce, to pin
+the cells below an outage of about 1.1e-16 at full precision.
 Each ``protocol_outage`` and ``link_outages`` estimate must reproduce its
 recorded value and std_error as exact doubles, with the same method,
 trials and seed; each failure its exception type and message.  Monte
