@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import warnings
 
 import pytest
 
@@ -12,6 +13,7 @@ from fbrelay import (
     DomainError,
     EtaOptimum,
     FbrelayError,
+    LinConvention,
     ProtocolKind,
     RegionGrid,
     SnrValue,
@@ -22,6 +24,7 @@ from fbrelay import (
     reliability_region,
     sweep,
 )
+from fbrelay import protocols
 from fbrelay.analysis import SCHEMA_VERSION, _coarse_grid, _local_minima
 
 TEN_DB = SnrValue.from_db(10.0)
@@ -324,3 +327,73 @@ class TestReliabilityRegion:
             mid = 0.5 * (a + b)
             child = max(chord_dev(a, mid), chord_dev(mid, b))
             assert child <= 0.4 * dev, f"kink near eta={mid}"
+
+
+SHORT = "blocklength n={} is below 100; the normal approximation degrades there — " \
+        "pass allow_short=True to override"
+DETERMINISTIC = [Backend.closed_form(), Backend.quadrature()]
+
+
+class TestRefusedCells:
+    """Points and map rows refused before evaluation: each fails with its
+    own message, holds the base configuration, and costs no evaluation."""
+
+    @pytest.mark.parametrize("axis, values, reasons", [
+        ("eta", [1.5, 2.0], ["eta must lie in (0, 1], got 1.5", "eta must lie in (0, 1], got 2.0"]),
+        ("blocklength", [40, 10 ** 400],
+         [SHORT.format(40), "n exceeds the largest double, 1.7976931348623157e+308"]),
+    ], ids=["eta", "blocklength"])
+    def test_sweep_with_every_point_refused(self, axis, values, reasons):
+        backends = DETERMINISTIC + [Backend.monte_carlo(20_000, 3)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = sweep(["dt", "mrc"], BASE_CFG, axis, values, backends)
+        want = [SweepRow.from_cell(ProtocolKind.parse(p), BASE_CFG, b, LinConvention.NATS,
+                                   math.nan, error=f"{axis}={value!r}: {reason}")
+                for value, reason in zip(values, reasons) for p in ("dt", "mrc") for b in backends]
+        assert [repr(r) for r in rows] == [repr(r) for r in want]
+
+    @pytest.mark.parametrize("optimize", [False, True])
+    @pytest.mark.parametrize("backend", DETERMINISTIC, ids=lambda b: b.label)
+    def test_map_with_every_blocklength_refused(self, backend, optimize):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grid = reliability_region("mrc", TEN_DB, [20, 50], [5, 10], backend,
+                                      optimize_power_split=optimize)
+        assert repr(grid.outage) == repr(((math.nan,) * 2,) * 2)
+        assert grid.errors == tuple(f"n={n} k={k}: {SHORT.format(n)}"
+                                    for n in (20, 50) for k in (5, 10))
+
+    @pytest.mark.parametrize("optimize", [False, True])
+    @pytest.mark.parametrize("backend", DETERMINISTIC, ids=lambda b: b.label)
+    def test_map_with_its_base_refused(self, backend, optimize):
+        grid = reliability_region("df", TEN_DB, [200, 500], [10, 20], backend, eta=1.5,
+                                  optimize_power_split=optimize)
+        assert repr(grid.outage) == repr(((math.nan,) * 2,) * 2)
+        assert grid.errors == tuple(f"n={n} k={k}: eta must lie in (0, 1], got 1.5"
+                                    for n in (200, 500) for k in (10, 20))
+
+    def test_map_with_a_refused_row_on_monte_carlo(self):
+        grid = reliability_region("dt", TEN_DB, [50, 200], [10], Backend.monte_carlo(20_000, 3))
+        cfg = TopologyConfig(total_snr=TEN_DB, eta=0.5, n_s=200, n_r=200, k=10)
+        want = protocol_outage("dt", cfg, Backend.monte_carlo(20_000, 3)).value
+        assert repr(grid.outage) == repr(((math.nan,), (want,)))
+        assert grid.errors == (f"n=50 k=10: {SHORT.format(50)}",)
+
+    @pytest.mark.parametrize("axis, values, valid", [
+        ("eta", [0.3, 0.7, 1.5, 2.0], 2),
+        ("blocklength", [40, 300, 10 ** 400], 1),
+    ], ids=["eta", "blocklength"])
+    def test_monte_carlo_evaluates_only_the_valid_points(self, monkeypatch, axis, values, valid):
+        inner = protocols.fading_outage_mc
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[:2])
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(protocols, "fading_outage_mc", counted)
+        backend = Backend.monte_carlo(20_000, 3)
+        rows = sweep(["dt", "mrc"], BASE_CFG, axis, values, backend)
+        assert len(calls) == (1 + 3) * valid  # dt reads one link, mrc three
+        assert sum(r.error is None for r in rows) == 2 * valid
