@@ -18,7 +18,9 @@ Each instrument hands its grid to ``protocols.outages`` as one batch, on
 every backend: a sweep once per protocol and backend, a power-split
 search's coarse scan once, and a fixed-split region map once.  The values
 are bit for bit those of per-cell evaluation, and so are the failed cells
-and their messages.  How a batch is evaluated is the protocol layer's
+and their messages.  A sweep point or map row that a driver refuses before
+evaluation goes into the batch too, holding valid values, and fails there
+with its own error at no evaluation cost.  How a batch is evaluated is the protocol layer's
 business (the closed form in one grid call, quadrature in one batched
 integration per link, Monte Carlo cell by cell).
 The golden-section steps and per-cell split optimization stay per cell.
@@ -46,7 +48,15 @@ from .protocols import (
 #: Schema tag stamped on every exported row; bump on any column change.
 SCHEMA_VERSION = 1
 
-_SWEEP_AXES = ("total_snr", "blocklength", "eta")
+#: Per sweep axis: the topology fields a value sets, and the TopologyCells
+#: column that holds it, read off the topology.
+_SWEEP_AXES = {
+    "total_snr": (lambda v: {"total_snr": SnrValue(float(v))}, "total_snr",
+                  lambda cfg: cfg.total_snr.value),
+    "blocklength": (lambda v: dict.fromkeys(("n_s", "n_r"), _as_int(v, "blocklength values")),
+                    "n", lambda cfg: cfg.n_s),
+    "eta": (lambda v: {"eta": float(v)}, "eta", lambda cfg: cfg.eta),
+}
 
 # Interior of the golden ratio: 2/(1+sqrt(5)) = 0.618..., the fraction of
 # the bracket kept per golden-section step.
@@ -207,64 +217,44 @@ def sweep(
     Values must be non-empty and sorted ascending.  Rows come out axis-major,
     then protocol, then backend.  Cells whose configuration or evaluation
     fails produce a row with NaN outage and the error message instead of
-    aborting the sweep.
+    aborting the sweep.  A point whose configuration fails keeps the base
+    config in its rows, and fails inside the one batch unevaluated, with
+    the value named in its message.
     """
     kinds = _as_protocols(protocols)
     bends = _as_backends(backends)
     convention = LinConvention.parse(convention)
     if axis not in _SWEEP_AXES:
-        raise DomainError(f"axis must be one of {_SWEEP_AXES}, got {axis!r}")
+        raise DomainError(f"axis must be one of {tuple(_SWEEP_AXES)}, got {axis!r}")
     values = list(values)
     if not values:
         raise DomainError("sweep values must be non-empty")
     if any(b > a for a, b in zip(values[1:], values)):
         raise DomainError("sweep values must be sorted ascending")
 
-    points: "list[tuple[TopologyConfig | None, str | None]]" = []
-    for value in values:
+    fields, column, entry = _SWEEP_AXES[axis]
+    cfgs: "list[TopologyConfig]" = []
+    refused: "dict[int, FbrelayError]" = {}
+    for i, value in enumerate(values):
         try:
-            if axis == "total_snr":
-                cfg = dataclasses.replace(base, total_snr=SnrValue(float(value)))
-            elif axis == "blocklength":
-                n = _as_int(value, "blocklength values")
-                cfg = dataclasses.replace(base, n_s=n, n_r=n)
-            else:
-                cfg = dataclasses.replace(base, eta=float(value))
+            cfgs.append(dataclasses.replace(base, **fields(value)))
         except FbrelayError as exc:
-            # the point itself is malformed; report it against the base config
-            points.append((None, f"{axis}={value!r}: {exc}"))
-            continue
-        points.append((cfg, None))
-
-    valid = [cfg for cfg, _msg in points if cfg is not None]
-    results = []  # per (protocol, backend): (outage, std_error, failures) per valid point
-    if valid:
-        if axis == "total_snr":
-            column = {"total_snr": [c.total_snr.value for c in valid]}
-        elif axis == "blocklength":
-            column = {"n": [c.n_s for c in valid]}
-        else:
-            column = {"eta": [c.eta for c in valid]}
-        cells = TopologyCells(base, **column)
-        for kind in kinds:
-            for backend in bends:
-                outage, std_error, failures = outages(kind, cells, backend, convention)
-                results.append((kind, backend, outage.tolist(), std_error, failures))
+            # the point itself is malformed; it holds the base config
+            cfgs.append(base)
+            refused[i] = type(exc)(f"{axis}={value!r}: {exc}")
+    cells = TopologyCells(base, refused=refused, **{column: [entry(c) for c in cfgs]})
+    results = []
+    for kind in kinds:
+        for backend in bends:
+            outage, std_error, failures = outages(kind, cells, backend, convention)
+            results.append((kind, backend, outage.tolist(), std_error, failures))
 
     rows: "list[SweepRow]" = []
-    j = 0  # index of the point among the valid ones
-    for cfg, msg in points:
-        if cfg is None:
-            for kind in kinds:
-                for backend in bends:
-                    rows.append(SweepRow.from_cell(kind, base, backend, convention, math.nan,
-                                                   error=msg))
-            continue
+    for i, cfg in enumerate(cfgs):
         for kind, backend, outage, std_error, failures in results:
-            exc = failures.get(j)  # outage is NaN where a cell failed
-            rows.append(SweepRow.from_cell(kind, cfg, backend, convention, outage[j],
-                                           std_error[j], None if exc is None else str(exc)))
-        j += 1
+            exc = failures.get(i)  # outage is NaN where a cell failed
+            rows.append(SweepRow.from_cell(kind, cfg, backend, convention, outage[i],
+                                           std_error[i], None if exc is None else str(exc)))
     return rows
 
 
@@ -405,11 +395,11 @@ def reliability_region(
     The topology fields are validated once and each blocklength once (the
     payloads are positive integers already), in the order TopologyConfig
     checks them, so a refused cell carries the message its own
-    TopologyConfig would raise; short blocklengths warn once each.  The
-    other cells are evaluated in one batch at the fixed eta, or with
-    optimize_power_split=True each by its own power-split search, which
-    reports its best split's outage (deterministic backends only;
-    noticeably slower).
+    TopologyConfig would raise; short blocklengths warn once each.  Every
+    cell goes into one batch at the fixed eta, where a refused cell fails
+    unevaluated; with optimize_power_split=True each other cell is instead
+    evaluated by its own power-split search, which reports its best split's
+    outage (deterministic backends only; noticeably slower).
     """
     protocol = ProtocolKind.parse(protocol)
     convention = LinConvention.parse(convention)
@@ -423,51 +413,36 @@ def reliability_region(
     if optimize_power_split and backend.kind is BackendKind.MONTE_CARLO:
         raise DomainError("optimize_power_split requires a deterministic backend")
 
+    width = len(ks)
+    n_col, k_col = [n for n in ns for _ in ks], list(ks) * len(ns)
+    refused: "dict[int, FbrelayError]" = {}
     try:
         base = TopologyConfig(total_snr=snr, eta=eta, beta=beta, path_loss_exp=path_loss_exp,
                               n_s=MIN_BLOCKLENGTH, n_r=MIN_BLOCKLENGTH, k=1)
     except FbrelayError as exc:
-        refused = {n: str(exc) for n in ns}
+        # every cell fails with exc; a valid topology holds their other columns
+        base = TopologyConfig(total_snr=1.0, eta=1.0)
+        refused = dict.fromkeys(range(len(n_col)), exc)
     else:
-        refused = {}
-        for n in ns:
+        for r, n in enumerate(ns):
             try:
                 RateSpec(ks[0], n, allow_short=allow_short)
             except FbrelayError as exc:
-                refused[n] = str(exc)
-    kept = [n for n in ns if n not in refused]
-    width = len(ks)
-    n_col, k_col = [n for n in kept for _ in ks], list(ks) * len(kept)
-    outage: "list[float]" = []
-    failures: "dict[int, FbrelayError]" = {}
+                refused.update(dict.fromkeys(range(r * width, (r + 1) * width), exc))
     if optimize_power_split:
+        outage, failures = [math.nan] * len(n_col), dict(refused)
         for i, (n, k) in enumerate(zip(n_col, k_col)):
+            if i in refused:
+                continue
             cfg = dataclasses.replace(base, n_s=n, n_r=n, k=k, allow_short=allow_short)
             try:
-                outage.append(optimize_eta(protocol, cfg, backend, convention).eps_star)
+                outage[i] = optimize_eta(protocol, cfg, backend, convention).eps_star
             except FbrelayError as exc:
                 failures[i] = exc
-                outage.append(math.nan)
-    elif kept:
-        values, _, failures = outages(protocol, TopologyCells(base, n=n_col, k=k_col), backend,
-                                      convention)
+    else:
+        cells = TopologyCells(base, n=n_col, k=k_col, refused=refused)
+        values, _, failures = outages(protocol, cells, backend, convention)
         outage = values.tolist()
-    failed_in_row: "dict[int, list[int]]" = {}
-    for i in sorted(failures):
-        failed_in_row.setdefault(i // width, []).append(i)
-
-    errors: "list[str]" = []
-    matrix: "list[tuple[float, ...]]" = []
-    r = 0  # row among the evaluated blocklengths
-    for n in ns:
-        if n in refused:
-            errors.extend(f"n={n} k={k}: {refused[n]}" for k in ks)
-            matrix.append((math.nan,) * width)
-            continue
-        for i in failed_in_row.get(r, ()):
-            errors.append(f"n={n} k={ks[i - r * width]}: {failures[i]}")
-        matrix.append(tuple(outage[r * width:(r + 1) * width]))
-        r += 1
     return RegionGrid(
         protocol=protocol,
         convention=convention,
@@ -475,6 +450,6 @@ def reliability_region(
         eta=eta,
         k_values=ks,
         n_values=ns,
-        outage=tuple(matrix),
-        errors=tuple(errors),
+        outage=tuple(tuple(outage[i:i + width]) for i in range(0, len(outage), width)),
+        errors=tuple(f"n={n_col[i]} k={k_col[i]}: {failures[i]}" for i in sorted(failures)),
     )

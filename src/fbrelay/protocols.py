@@ -245,9 +245,13 @@ class TopologyCells:
     ``big_ints`` says that a blocklength or payload is at or above 2**53,
     where numpy's k / n would round differently from Python's: the integer
     columns then hold Python ints, and the batch is evaluated per cell.
+    ``refused`` maps the index of each cell that a driver refused before
+    evaluation to the error it fails with; such a cell holds valid values
+    but is never evaluated.
     """
 
-    def __init__(self, base: TopologyConfig, *, total_snr=None, eta=None, n=None, k=None):
+    def __init__(self, base: TopologyConfig, *, total_snr=None, eta=None, n=None, k=None,
+                 refused: "dict[int, FbrelayError] | None" = None):
         given = [c for c in (total_snr, eta, n, k) if c is not None]
         self.size = len(given[0]) if given else 1
         ints = ((base.n_s, base.n_r) if n is None else (n, n)) + (base.k if k is None else k,)
@@ -261,6 +265,7 @@ class TopologyCells:
         if self.big_ints:
             self.n_s, self.n_r, self.k = (column(c, object) for c in ints)
         self.base = base
+        self.refused = {} if refused is None else refused
         self.total_snr = column(base.total_snr.value if total_snr is None else total_snr, float)
         self.eta = column(base.eta if eta is None else eta, float)
         self.rate_s = self.k / self.n_s
@@ -524,22 +529,25 @@ def outages(
     Returns the outage per cell, equal bit for bit to ``protocol_outage``
     of that cell's topology, with NaN where that call raises; each cell's
     std_error (None but for Monte Carlo); and, for each failed cell, the
-    package error it raises.  The closed form and quadrature evaluate the
-    batch in one ``Grid`` call, quadrature with one batched integration per
-    link; Monte Carlo, and a batch with ``big_ints``, evaluate the cells one
-    by one.
+    package error it raises, a refused cell's error unevaluated.  The closed
+    form and quadrature evaluate the batch in one ``Grid`` call, quadrature
+    with one batched integration per link; Monte Carlo, and a batch with
+    ``big_ints``, evaluate the cells one by one.
     """
     scheme = _SCHEMES[ProtocolKind.parse(protocol)]
     stage = _link_stage(backend, LinConvention.parse(convention))
     std_error: "list[float | None]" = [None] * cells.size
     if backend.kind is not BackendKind.MONTE_CARLO and not cells.big_ints:
         reads, compose, _ = scheme
-        grid = Grid(cells.size)
+        grid = Grid(cells.size, failures=dict(cells.refused))
+        grid.alive[list(cells.refused)] = False
         with np.errstate(all="ignore"):
             value = _compose(grid, compose, _links(grid, reads, cells, cells.total_snr, stage))
         return np.where(grid.alive, value, np.nan), std_error, grid.failures
-    outage, failures = np.full(cells.size, np.nan), {}
+    outage, failures = np.full(cells.size, np.nan), dict(cells.refused)
     for i, t in enumerate(cells.points()):
+        if i in cells.refused:
+            continue
         try:
             est = _point_outage(scheme, stage, t)
         except FbrelayError as exc:
