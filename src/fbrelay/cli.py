@@ -341,7 +341,7 @@ def cmd_sweep(ctx: click.Context, **_kw) -> None:
     base = _build_topology(p)
     backends = _build_backends(p)
     if axis == "snr_db":
-        lib_axis, lib_values = "total_snr", [10.0 ** (v / 10.0) for v in values]
+        lib_axis, lib_values = "total_snr", [SnrValue.from_db(v).value for v in values]
     elif axis == "blocklength":
         lib_axis, lib_values = "blocklength", [round(v) for v in values]
     else:
@@ -477,7 +477,7 @@ def _validate_cases(convention: LinConvention, snr_points: int, full: bool):
     for n, k in frames:
         rate = k / n
         for db in dbs:
-            omega = 10.0 ** (db / 10.0)
+            omega = SnrValue.from_db(db).value
             yield _checked(
                 "deterministic", "rayleigh_outage", f"n={n} k={k} snr={db:g}dB",
                 lambda: rayleigh_outage(n, rate, omega, convention),
@@ -507,8 +507,8 @@ def _validate_cases(convention: LinConvention, snr_points: int, full: bool):
     mc_points = dbs if full else [dbs[0], mid, dbs[-1]]
     n, k = frames[0]
     rate = k / n
-    omega = 10.0 ** (mid / 10.0)
-    channels = [(f"snr={db:g}dB", ExponentialDensity(10.0 ** (db / 10.0)), 77_000 + i)
+    omega = SnrValue.from_db(mid).value
+    channels = [(f"snr={db:g}dB", ExponentialDensity(SnrValue.from_db(db).value), 77_000 + i)
                 for i, db in enumerate(mc_points)]
     channels += [(f"snr={mid:g}dB {tag}", pair, 78_000)
                  for tag, pair in (("equal", HypoexpParams(omega, omega)),

@@ -74,7 +74,11 @@ class SnrValue:
     def from_db(cls, db: float) -> "SnrValue":
         if not math.isfinite(db):
             raise DomainError(f"dB value must be finite, got {db!r}")
-        return cls(10.0 ** (db / 10.0))
+        try:
+            value = 10.0 ** (db / 10.0)
+        except OverflowError:
+            raise DomainError(_TOO_LARGE_MESSAGE.format(f"the linear SNR of {db!r} dB")) from None
+        return cls(value)
 
     def to_db(self) -> float:
         if self.value <= 0.0:

@@ -207,6 +207,24 @@ class TestSweep:
         assert "--n-relay does not apply to a blocklength sweep" in result.output
 
 
+class TestSnrDbPastTheLargestDouble:
+    """A dB value whose linear SNR overflows is a bad input: exit 2, not a
+    traceback."""
+
+    MESSAGE = "the linear SNR of 4000.0 dB exceeds the largest double"
+
+    @pytest.mark.parametrize("argv", [
+        ["outage", "--snr-db", "4000"],
+        ["region", "--snr-db", "4000", "--k-min", "10", "--k-max", "10",
+         "--n-min", "500", "--n-max", "500"],
+        ["sweep", "--axis", "snr_db", "--start", "0", "--stop", "4000", "--points", "3"],
+    ], ids=["outage", "region", "sweep"])
+    def test_exits_2(self, runner, argv):
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 2, result.output
+        assert self.MESSAGE in result.output
+
+
 class TestOptimizeEta:
     def test_summary_lines_and_rows(self, runner):
         result = runner.invoke(

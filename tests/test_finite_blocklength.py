@@ -40,6 +40,15 @@ class TestSnrValue:
         with pytest.raises(DomainError):
             SnrValue.from_db(math.nan)
 
+    def test_db_past_the_largest_double_is_a_domain_error(self):
+        # 10 ** 308.25 is the largest double; below it the ratio converts
+        assert SnrValue.from_db(3082.5).value == 10.0 ** 308.25
+        for db in (3082.6, 4000.0, 4000):
+            with pytest.raises(DomainError) as info:
+                SnrValue.from_db(db)
+            assert str(info.value) == (f"the linear SNR of {db!r} dB exceeds the largest "
+                                       "double, 1.7976931348623157e+308")
+
     def test_zero_is_a_ratio_but_has_no_db(self):
         s = SnrValue(0.0)
         with pytest.raises(DomainError):
