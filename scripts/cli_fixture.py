@@ -4,7 +4,7 @@
 Runs a fixed set of ``fbrelay`` invocations in-process through click's test
 runner, each in an empty working directory, and writes per invocation its
 argv, exit code, stdout and, where it writes one, the ``--output`` file to
-``tests/data/cli_fixture.json``:
+``tests/data/cli_fixture.json`` (or the file that ``--out`` names):
 
 * ``outage`` for every protocol, as commented CSV and as JSON, on the
   closed backend;
@@ -32,6 +32,7 @@ do so only on purpose, from the repository root:
 
 from __future__ import annotations
 
+import argparse
 import json
 import sys
 from pathlib import Path
@@ -106,7 +107,10 @@ def run_case(
     return result.exit_code, result.stdout_bytes, result.stderr_bytes, written
 
 
-def main() -> None:
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--out", default=str(ROOT / "tests" / "data" / "cli_fixture.json"))
+    args = ap.parse_args()
     cases = []
     for name, argv, *files in CASES:
         code, stdout, stderr, written = run_case(argv, *files)
@@ -120,10 +124,12 @@ def main() -> None:
         if files:
             case.update(files=files[0], stderr=stderr.decode("utf-8"))
         cases.append(case)
-    path = ROOT / "tests" / "data" / "cli_fixture.json"
+    path = Path(args.out)
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps({"cases": cases}, indent=1) + "\n", encoding="utf-8")
-    print(f"wrote {path.relative_to(ROOT)} ({len(cases)} invocations)")
+    print(f"wrote {path} ({len(cases)} invocations)")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())
