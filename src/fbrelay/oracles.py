@@ -431,7 +431,8 @@ def true_tail_outages(cells, n, rate, omega_z, omega_y=None, abs_tol: float = 1e
     outcome = np.zeros(cells.alive.shape, dtype=np.int8)
     failed_cuts = np.empty(cells.alive.shape, dtype=object)
     live = np.flatnonzero(cells.alive)
-    for chunk in np.split(live, range(_CHUNK, live.size, _CHUNK)):
+    for start in range(0, live.size, _CHUNK):  # none when every cell has failed
+        chunk = live[start:start + _CHUNK]
         failed, status, value[chunk] = _true_tail_chunk(
             n[chunk], rate[chunk], omega_z[chunk], omega_y[chunk],
             [edge[chunk] for edge in window], abs_tol)

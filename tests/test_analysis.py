@@ -397,3 +397,19 @@ class TestRefusedCells:
         rows = sweep(["dt", "mrc"], BASE_CFG, axis, values, backend)
         assert len(calls) == (1 + 3) * valid  # dt reads one link, mrc three
         assert sum(r.error is None for r in rows) == 2 * valid
+
+    def test_quadrature_integrates_only_the_valid_cells(self, monkeypatch):
+        from fbrelay import oracles
+
+        inner = oracles._integrate
+        sizes = []
+
+        def counted(integrand, cuts, abs_tol):
+            sizes.append(len(cuts))
+            return inner(integrand, cuts, abs_tol)
+
+        monkeypatch.setattr(oracles, "_integrate", counted)
+        reliability_region("mrc", TEN_DB, [20, 50], [5, 10], Backend.quadrature())
+        assert sizes == []
+        reliability_region("mrc", TEN_DB, [50, 200], [5, 10], Backend.quadrature())
+        assert sizes == [2, 2, 2]  # mrc's three links over the two cells of n = 200
