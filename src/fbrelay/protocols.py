@@ -529,10 +529,10 @@ def outages(
     Returns the outage per cell, equal bit for bit to ``protocol_outage``
     of that cell's topology, with NaN where that call raises; each cell's
     std_error (None but for Monte Carlo); and, for each failed cell, the
-    package error it raises, a refused cell's error unevaluated.  The closed
-    form and quadrature evaluate the batch in one ``Grid`` call, quadrature
-    with one batched integration per link; Monte Carlo, and a batch with
-    ``big_ints``, evaluate the cells one by one.
+    package error it raises, or for a refused cell its refusal, with no
+    evaluation.  The closed form and quadrature evaluate the batch in one
+    ``Grid`` call, quadrature with one batched integration per link; Monte
+    Carlo, and a batch with ``big_ints``, evaluate the cells one by one.
     """
     scheme = _SCHEMES[ProtocolKind.parse(protocol)]
     stage = _link_stage(backend, LinConvention.parse(convention))

@@ -24,7 +24,7 @@ from fbrelay import (
     reliability_region,
     sweep,
 )
-from fbrelay import protocols
+from fbrelay import oracles, protocols
 from fbrelay.analysis import SCHEMA_VERSION, _coarse_grid, _local_minima
 
 TEN_DB = SnrValue.from_db(10.0)
@@ -399,8 +399,6 @@ class TestRefusedCells:
         assert sum(r.error is None for r in rows) == 2 * valid
 
     def test_quadrature_integrates_only_the_valid_cells(self, monkeypatch):
-        from fbrelay import oracles
-
         inner = oracles._integrate
         sizes = []
 
