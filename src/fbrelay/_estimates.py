@@ -72,14 +72,35 @@ class OutageEstimate:
             raise DomainError(f"{self.method.value} estimates carry no sampling metadata")
 
 
+def as_int(value, what: str, template: str = "{} must be integers, got {!r}") -> int:
+    """value as an int, by the package's one integer rule: a bool, or a non-integral,
+    infinite or NaN value, fails with ``template`` filled with ``what`` and the value."""
+    try:
+        n = None if isinstance(value, bool) else int(value)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    POINT.fail(n is None or n != value, DomainError, template, what, value)
+    return n
+
+
 #: The fewest trials a Monte Carlo estimate may use.
 _MIN_TRIALS = 10_000
 
 
-def check_trials(trials) -> None:
+def check_trials(trials) -> int:
     """The Monte Carlo trials rule, shared by the oracle and its backend."""
+    trials = as_int(trials, "trials")
     if trials < _MIN_TRIALS:
         raise DomainError(f"trials must be >= {_MIN_TRIALS}, got {trials!r}")
+    return trials
+
+
+def check_seed(seed) -> int:
+    """The Monte Carlo seed rule: numpy's SeedSequence takes only nonnegative integers."""
+    template = "{} must be a nonnegative integer, got {!r}"
+    seed = as_int(seed, "seed", template)
+    POINT.fail(seed < 0, DomainError, template, "seed", seed)
+    return seed
 
 
 EXPONENTIAL_MEAN_MESSAGE = "exponential mean must be positive and finite, got {!r}"

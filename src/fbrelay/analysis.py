@@ -32,6 +32,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
+from ._estimates import as_int
 from .errors import DomainError, FbrelayError
 from .finite_blocklength import _DOUBLE_MAX, _TOO_LARGE_MESSAGE, MIN_BLOCKLENGTH, RateSpec, SnrValue
 from .linearization import LinConvention
@@ -53,7 +54,7 @@ SCHEMA_VERSION = 1
 _SWEEP_AXES = {
     "total_snr": (lambda v: {"total_snr": SnrValue(float(v))}, "total_snr",
                   lambda cfg: cfg.total_snr.value),
-    "blocklength": (lambda v: dict.fromkeys(("n_s", "n_r"), _as_int(v, "blocklength values")),
+    "blocklength": (lambda v: dict.fromkeys(("n_s", "n_r"), as_int(v, "blocklength values")),
                     "n", lambda cfg: cfg.n_s),
     "eta": (lambda v: {"eta": float(v)}, "eta", lambda cfg: cfg.eta),
 }
@@ -300,8 +301,10 @@ def optimize_eta(
         raise DomainError("optimize_eta requires a deterministic backend")
     if not (0.0 < coarse_step <= 0.05):
         raise DomainError(f"coarse_step must lie in (0, 0.05], got {coarse_step!r}")
-    if not (0.0 < refine_tol <= 1e-3):
-        raise DomainError(f"refine_tol must lie in (0, 1e-3], got {refine_tol!r}")
+    # 1e-15 is about 4.5 ulps of 1.0: the bracket stops shrinking near one
+    # ulp of eta, so the search would never reach a narrower width.
+    if not (1e-15 <= refine_tol <= 1e-3):
+        raise DomainError(f"refine_tol must lie in [1e-15, 1e-3], got {refine_tol!r}")
 
     def f(eta: float) -> float:
         return protocol_outage(
@@ -348,19 +351,8 @@ def optimize_eta(
     )
 
 
-def _as_int(value, what: str) -> int:
-    """value as an int; a non-integral, infinite or NaN value is refused."""
-    try:
-        n = int(value)
-    except (TypeError, ValueError, OverflowError):
-        n = None
-    if n is None or n != value:
-        raise DomainError(f"{what} must be integers, got {value!r}")
-    return n
-
-
 def _ascending_ints(values, what: str) -> "tuple[int, ...]":
-    out = tuple(_as_int(v, what) for v in values)
+    out = tuple(as_int(v, what) for v in values)
     if not out:
         raise DomainError(f"{what} must be non-empty")
     if any(v < 1 for v in out):

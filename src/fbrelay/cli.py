@@ -36,7 +36,7 @@ import click
 from click.core import ParameterSource
 
 from . import __version__
-from ._estimates import ExponentialDensity, lazy_binding
+from ._estimates import ExponentialDensity, as_int, lazy_binding
 from .analysis import (
     SCHEMA_VERSION,
     SweepRow,
@@ -46,7 +46,7 @@ from .analysis import (
 )
 from .closed_form import HypoexpParams, mrc_pair_outage, rayleigh_outage
 from .errors import DomainError, NumericError
-from .finite_blocklength import SnrValue
+from .finite_blocklength import _DOUBLE_MAX, _TOO_LARGE_MESSAGE, SnrValue
 from .linearization import LinConvention, linearize
 from .protocols import Backend, BackendKind, ProtocolKind, TopologyConfig, protocol_outage
 
@@ -75,20 +75,25 @@ _SOURCE_TAGS = {ParameterSource.COMMANDLINE: "flag", ParameterSource.DEFAULT_MAP
 
 
 class _IntCount(click.ParamType):
-    """Integer that also accepts scientific notation like 1e6."""
+    """An integer, read exactly and through the package's integer rule.
+    Text may also use scientific notation, such as 1e6."""
 
     name = "integer"
 
     def convert(self, value, param, ctx):
-        if isinstance(value, int):
-            return value
         try:
-            as_float = float(value)
-        except (TypeError, ValueError):
+            try:
+                number = int(value) if isinstance(value, str) else value
+            except ValueError:
+                from decimal import Decimal  # only text such as 1e5 needs it
+                number = Decimal(value)
+            # the double range, and abs() past Decimal's exponent range, keep
+            # text such as 1e999999999 from becoming a billion-digit int
+            if abs(number) > _DOUBLE_MAX:
+                self.fail(_TOO_LARGE_MESSAGE.format(repr(value)), param, ctx)
+            return as_int(number, "count")
+        except (TypeError, ArithmeticError, DomainError):
             self.fail(f"{value!r} is not an integer", param, ctx)
-        if not as_float.is_integer():
-            self.fail(f"{value!r} is not a whole number", param, ctx)
-        return int(as_float)
 
 
 INT_COUNT = _IntCount()
@@ -213,8 +218,8 @@ def _emit(
 
 
 def _build_topology(p: "dict[str, object]") -> TopologyConfig:
-    n_s = int(p["n"])
-    n_r = int(p["n_relay"]) if p.get("n_relay") is not None else n_s
+    n_s = p["n"]
+    n_r = p["n_relay"] if p.get("n_relay") is not None else n_s
     return TopologyConfig(
         total_snr=SnrValue.from_db(float(p["snr_db"])),
         eta=float(p["eta"]),
@@ -222,7 +227,7 @@ def _build_topology(p: "dict[str, object]") -> TopologyConfig:
         path_loss_exp=float(p["alpha"]),
         n_s=n_s,
         n_r=n_r,
-        k=int(p["k"]),
+        k=p["k"],
         allow_short=bool(p["allow_short"]),
     )
 
@@ -231,7 +236,7 @@ def _build_backend(kind: str, p: "dict[str, object]") -> Backend:
     if kind == "mc":
         if p.get("trials") is None or p.get("seed") is None:
             raise click.UsageError("--backend mc requires --trials and --seed")
-        return Backend.monte_carlo(int(p["trials"]), int(p["seed"]))
+        return Backend.monte_carlo(p["trials"], p["seed"])
     return Backend.closed_form() if kind == "closed" else Backend.quadrature()
 
 
@@ -323,7 +328,7 @@ def cmd_outage(ctx: click.Context, **_kw) -> None:
 def cmd_sweep(ctx: click.Context, **_kw) -> None:
     """Walk one axis and print a record per (value, protocol, backend) cell."""
     p = ctx.params
-    points = int(p["points"])
+    points = p["points"]
     if points < 1:
         raise click.UsageError(f"--points must be >= 1, got {points}")
     start, stop = float(p["start"]), float(p["stop"])
@@ -413,10 +418,10 @@ def cmd_region(ctx: click.Context, **_kw) -> None:
     """Map outage over an (n, k) grid; one record per cell."""
     p = ctx.params
     _refuse_n_relay(p, "region")
-    if int(p["k_step"]) < 1 or int(p["n_step"]) < 1:
+    if p["k_step"] < 1 or p["n_step"] < 1:
         raise click.UsageError("--k-step and --n-step must be >= 1")
-    ks = list(range(int(p["k_min"]), int(p["k_max"]) + 1, int(p["k_step"])))
-    ns = list(range(int(p["n_min"]), int(p["n_max"]) + 1, int(p["n_step"])))
+    ks = list(range(p["k_min"], p["k_max"] + 1, p["k_step"]))
+    ns = list(range(p["n_min"], p["n_max"] + 1, p["n_step"]))
     if not ks:
         raise click.UsageError("--k-min/--k-max describe an empty payload grid")
     if not ns:

@@ -55,7 +55,8 @@ import numpy as np
 from scipy.special import erfc
 
 from ._cells import INF, POINT, expm1_or_inf
-from ._estimates import EstimateMethod, ExponentialDensity, OutageEstimate, check_trials
+from ._estimates import (EstimateMethod, ExponentialDensity, OutageEstimate, as_int, check_seed,
+                         check_trials)
 from .closed_form import HypoexpParams, hypoexp_cdf, hypoexp_pdf
 from .errors import ConvergenceError, DomainError, NumericError
 from .finite_blocklength import LN2, SnrValue, check_code, outage_given_snr
@@ -135,11 +136,6 @@ _PANEL_LIMIT = 400
 #: Gauss-Legendre nodes per panel.
 _FIXED_PANELS = 96
 _FIXED_ORDER = 16
-
-
-#: Channel descriptions accepted by the oracle backends: a single Rayleigh
-#: link (exponential SNR) or a combined two-branch link (hypoexponential).
-Density = "ExponentialDensity | HypoexpParams"
 
 
 def _as_density(channel) -> "ExponentialDensity | HypoexpParams":
@@ -638,7 +634,8 @@ def fading_outage_mc(
     sqrt(trials).  Distinct `stream` values give statistically independent
     runs from the same seed — the per-link streams of the protocol layer.
     """
-    check_trials(trials)
+    trials, seed = check_trials(trials), check_seed(seed)
+    partitions = as_int(partitions, "partitions")
     if partitions < 1:
         raise DomainError(f"partitions must be >= 1, got {partitions!r}")
     check_code(POINT, n, rate)

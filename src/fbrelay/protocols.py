@@ -47,6 +47,7 @@ from ._estimates import (
     ExponentialDensity,
     OutageEstimate,
     check_mean,
+    check_seed,
     check_trials,
     lazy_binding,
 )
@@ -105,7 +106,7 @@ class BackendKind(enum.Enum):
 @dataclass(frozen=True)
 class Backend:
     """Evaluation backend selector; Monte Carlo carries its trials, at least
-    the oracle's minimum, and its seed."""
+    the oracle's minimum, and its nonnegative seed, each read as an int."""
 
     kind: BackendKind
     trials: "int | None" = None
@@ -115,7 +116,8 @@ class Backend:
         if self.kind is BackendKind.MONTE_CARLO:
             if self.trials is None or self.seed is None:
                 raise DomainError("Monte Carlo backend requires trials and seed")
-            check_trials(self.trials)
+            object.__setattr__(self, "trials", check_trials(self.trials))
+            object.__setattr__(self, "seed", check_seed(self.seed))
         elif self.trials is not None or self.seed is not None:
             raise DomainError(f"{self.kind.value} backend takes no trials/seed")
 
@@ -129,7 +131,7 @@ class Backend:
 
     @classmethod
     def monte_carlo(cls, trials: int, seed: int) -> "Backend":
-        return cls(BackendKind.MONTE_CARLO, trials=int(trials), seed=int(seed))
+        return cls(BackendKind.MONTE_CARLO, trials=trials, seed=seed)
 
     @property
     def label(self) -> str:

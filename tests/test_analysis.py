@@ -167,6 +167,20 @@ class TestOptimizeEta:
         with pytest.raises(DomainError):
             optimize_eta("df", REF_CFG, Backend.closed_form(), refine_tol=0.01)
 
+    @pytest.mark.parametrize("refine_tol", [1e-17, 1e-300, 0.0, -1e-3, math.nan])
+    def test_refine_tol_below_the_floor_is_refused(self, refine_tol):
+        # a bracket narrower than a few ulps of eta is never reached
+        with pytest.raises(DomainError) as info:
+            optimize_eta("mrc", BASE_CFG, Backend.closed_form(), refine_tol=refine_tol)
+        assert str(info.value) == f"refine_tol must lie in [1e-15, 1e-3], got {refine_tol!r}"
+
+    @pytest.mark.parametrize("protocol", ["df", "sc", "mrc"])
+    def test_refine_tol_at_the_floor_ends(self, protocol):
+        result = optimize_eta(protocol, REF_CFG, Backend.closed_form(), refine_tol=1e-15)
+        coarse = optimize_eta(protocol, REF_CFG, Backend.closed_form())
+        assert result.eps_star <= coarse.eps_star
+        assert abs(result.eta_star - coarse.eta_star) < 1e-3
+
     def test_result_validation(self):
         with pytest.raises(DomainError):
             EtaOptimum(eta_star=1.5, eps_star=0.1, protocol=ProtocolKind.DF,

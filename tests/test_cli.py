@@ -145,6 +145,26 @@ class TestOutage:
         assert float(rows[0]["outage"]) == 0.15362646991270612
         assert float(rows[0]["std_error"]) == 0.0010799786337094685
 
+    def test_counts_read_exactly_past_2_to_the_53(self, runner):
+        result = runner.invoke(main, ["outage", "--protocol", "dt", "--n", "9007199254740993"])
+        assert result.exit_code == 0
+        comments, rows = parse_csv(result.output)
+        assert "# n = 9007199254740993 (flag)" in comments
+        assert rows[0]["n_s"] == rows[0]["n_r"] == "9007199254740993"
+
+    @pytest.mark.parametrize("trials, seed, message", [
+        ("20000", "-1", "seed must be a nonnegative integer, got -1"),
+        ("20000", "1.5", "Invalid value for '--seed': '1.5' is not an integer"),
+        ("20000.5", "1", "Invalid value for '--trials': '20000.5' is not an integer"),
+        ("1e400", "1", "Invalid value for '--trials': '1e400' exceeds the largest double"),
+        ("1e999999999", "1", "Invalid value for '--trials': '1e999999999'"),
+    ])
+    def test_bad_monte_carlo_counts_exit_2(self, runner, trials, seed, message):
+        result = runner.invoke(main, ["outage", "--backend", "mc", "--trials", trials,
+                                      "--seed", seed])
+        assert result.exit_code == 2, result.output
+        assert message in result.output
+
     def test_trials_without_mc_backend(self, runner):
         result = runner.invoke(main, ["outage", "--protocol", "dt", "--trials", "1000"])
         assert result.exit_code == 2
@@ -251,6 +271,12 @@ class TestOptimizeEta:
         assert summary["eta_star"] == pytest.approx(0.7165631459994952, abs=2e-3)
         assert summary["multimodal"] is False
 
+
+    def test_refine_tol_below_the_floor_exits_2(self, runner):
+        result = runner.invoke(main, ["optimize-eta", "--protocol", "mrc",
+                                      "--refine-tol", "1e-17"])
+        assert result.exit_code == 2
+        assert "refine_tol must lie in [1e-15, 1e-3], got 1e-17" in result.output
 
     def test_trials_and_seed_refused_as_elsewhere(self, runner):
         result = runner.invoke(main, ["optimize-eta", "--trials", "1e5", "--seed", "3"])
@@ -434,6 +460,23 @@ class TestGroupPlumbing:
             timeout=120, check=True,
         )
         assert done.stdout.strip() == "[]"
+
+    def test_decimal_loads_only_for_scientific_notation(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(fbrelay.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        probe = (
+            "import sys, fbrelay.cli\n"
+            "from click.testing import CliRunner\n"
+            "for n in sys.argv[1:]:\n"
+            "    code = CliRunner().invoke(fbrelay.cli.main, ['outage', '--n', n]).exit_code\n"
+            "    print(n, code, 'decimal' in sys.modules)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", probe, "500", "5e2"], env=env, capture_output=True,
+            text=True, timeout=120, check=True,
+        )
+        assert done.stdout.splitlines() == ["500 0 False", "5e2 0 True"]
 
     def test_closed_form_work_leaves_scipy_unloaded(self):
         # The oracles and scipy load on the first quadrature or Monte Carlo

@@ -3,7 +3,9 @@
 The SNR, blocklength/rate and density-mean checks each have one definition
 against ``_cells``.  These tests pin the messages the value types and the
 quadrature oracle raise for int, float and numpy inputs, and check that a
-``Grid`` fails each cell with the error its point evaluation raises.
+``Grid`` fails each cell with the error its point evaluation raises.  The
+integer rule, ``_estimates.as_int``, is likewise one definition read by the
+drivers' grids, the Monte Carlo backend and oracle, and the CLI's counts.
 """
 
 from __future__ import annotations
@@ -14,13 +16,26 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
-from fbrelay import DomainError, ExponentialDensity, HypoexpParams, SnrValue
+from fbrelay import (
+    Backend,
+    DomainError,
+    ExponentialDensity,
+    FbrelayError,
+    HypoexpParams,
+    SnrValue,
+    TopologyConfig,
+    reliability_region,
+    sweep,
+)
 from fbrelay._cells import POINT, Grid
-from fbrelay._estimates import check_mean
+from fbrelay._estimates import as_int, check_mean
+from fbrelay.cli import main
 from fbrelay.closed_form import check_means
 from fbrelay.finite_blocklength import check_code, check_snr
-from fbrelay.oracles import fading_outage_quadrature
+from fbrelay.oracles import fading_outage_mc, fading_outage_quadrature
 
 SNR = "SNR must be a finite nonnegative ratio, got "
 EXP = "exponential mean must be positive and finite, got "
@@ -144,3 +159,123 @@ def test_each_message_is_read_only_where_it_is_defined():
     for name, owner in owners.items():
         readers = [module for module, text in texts.items() if re.search(rf"\b{name}\b", text)]
         assert readers == [owner], name
+
+
+TEN_DB = SnrValue.from_db(10.0)
+CFG = TopologyConfig(total_snr=TEN_DB, eta=0.5)
+SEED = "seed must be a nonnegative integer, got "
+
+
+@pytest.mark.parametrize("trials, seed, message", [
+    (20000.9, 7, "trials must be integers, got 20000.9"),
+    (20000, 7.9, SEED + "7.9"),
+    (20000, -1, SEED + "-1"),
+    (20000, True, SEED + "True"),
+    (True, 7, "trials must be integers, got True"),
+])
+def test_monte_carlo_backend_refuses_what_it_once_truncated(trials, seed, message):
+    with pytest.raises(DomainError) as info:
+        Backend.monte_carlo(trials, seed)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"trials": 20000.5, "seed": 1}, "trials must be integers, got 20000.5"),
+    ({"trials": 20000, "seed": 1.5}, SEED + "1.5"),
+    ({"trials": 20000, "seed": -3}, SEED + "-3"),
+    ({"trials": 20000, "seed": np.int64(-3)}, SEED + "-3"),
+    ({"trials": 20000, "seed": 1, "partitions": 2.5}, "partitions must be integers, got 2.5"),
+    ({"trials": 20000, "seed": 1, "partitions": 0}, "partitions must be >= 1, got 0"),
+])
+def test_monte_carlo_oracle_refuses_before_drawing(kwargs, message):
+    with pytest.raises(DomainError) as info:
+        fading_outage_mc(500, 0.5, 10.0, **kwargs)
+    assert str(info.value) == message
+
+
+def test_integral_counts_read_as_their_ints():
+    # an integral float or numpy scalar is the int it equals, bit for bit
+    want = fading_outage_mc(500, 0.5, 10.0, 20000, 7, partitions=4)
+    got = fading_outage_mc(500, 0.5, 10.0, 20000.0, np.int64(7), partitions=np.float64(4.0))
+    assert got == want and type(got.trials) is int and type(got.seed) is int
+    mc = Backend.monte_carlo(np.float64(20000.0), np.uint16(7))
+    assert (mc.trials, mc.seed) == (20000, 7)
+    assert (type(mc.trials), type(mc.seed)) == (int, int)
+
+
+def test_drivers_refuse_bools_as_integers():
+    (row,) = sweep("dt", CFG, "blocklength", [True], Backend.closed_form())
+    assert row.error == "blocklength=True: blocklength values must be integers, got True"
+    with pytest.raises(DomainError, match=r"^n_values must be integers, got True$"):
+        reliability_region("dt", TEN_DB, [True], [1], Backend.closed_form())
+
+
+#: Every kind of value a caller may pass for an integer.
+VALUES = st.one_of(
+    st.sampled_from([
+        True, False, 0, 1, -1, -3, 2 ** 53 - 1, 2 ** 53 + 1, 10 ** 20, -(10 ** 20),
+        0.5, 2.5, -1.0, 20000.0, 20000.5, 1e5, math.inf, -math.inf, math.nan,
+        np.int64(20000), np.int32(-3), np.uint8(7), np.float64(20000.0), np.float64(1.5),
+        np.float32(math.nan), "20000", "1e5", "-1", "2.5", "nan",
+    ]),
+    st.integers(-(10 ** 6), 10 ** 6),
+    st.floats(),
+)
+
+
+def _at_most(limit):
+    """VALUES, less the valid integers above limit: no draw allocates in
+    proportion to a huge count."""
+    def small(value):
+        try:
+            return as_int(value, "value") <= limit
+        except DomainError:
+            return True
+    return VALUES.filter(small)
+
+
+def _returns_or_refuses(call) -> None:
+    try:
+        call()
+    except FbrelayError:
+        pass
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(trials=VALUES, seed=VALUES, small_trials=_at_most(20000), mc_seed=VALUES,
+       partitions=_at_most(8), n=VALUES, k=VALUES)
+def test_integer_inputs_return_or_raise_typed_errors(trials, seed, small_trials, mc_seed,
+                                                     partitions, n, k):
+    _returns_or_refuses(lambda: Backend.monte_carlo(trials, seed))
+    _returns_or_refuses(lambda: fading_outage_mc(500, 0.5, 10.0, small_trials, mc_seed,
+                                                 partitions=partitions))
+    _returns_or_refuses(lambda: sweep("dt", CFG, "blocklength", [n], Backend.closed_form()))
+    _returns_or_refuses(lambda: reliability_region("dt", TEN_DB, [n], [k],
+                                                   Backend.closed_form()))
+
+
+def _cli_at_most(limit):
+    """Option texts, less those that read as a count above limit."""
+    def small(text):
+        try:
+            return not abs(float(text)) > limit
+        except ValueError:
+            return True
+    return VALUES.map(str).filter(small)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(n=VALUES.map(str), k=VALUES.map(str), seed=VALUES.map(str),
+       trials=_cli_at_most(20000), points=_cli_at_most(5), k_max=_cli_at_most(40))
+def test_cli_counts_exit_0_2_or_3(n, k, seed, trials, points, k_max):
+    runner = CliRunner()
+    for argv in (
+        ["outage", "--protocol", "dt", "--n", n, "--k", k],
+        ["outage", "--protocol", "dt", "--backend", "mc", "--trials", trials, "--seed", "1"],
+        ["outage", "--protocol", "dt", "--backend", "mc", "--trials", "20000", "--seed", seed],
+        ["sweep", "--protocol", "dt", "--start", "0", "--stop", "10", "--points", points],
+        ["region", "--protocol", "dt", "--k-min", "10", "--k-max", k_max, "--n-min", "100",
+         "--n-max", "100"],
+    ):
+        result = runner.invoke(main, argv)
+        assert result.exit_code in (0, 2, 3), (argv, result.output, result.exception)
