@@ -14,6 +14,8 @@ import importlib
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from ._cells import INF, POINT
 from .errors import DomainError, NumericError
 
@@ -73,10 +75,11 @@ class OutageEstimate:
 
 
 def as_int(value, what: str, template: str = "{} must be integers, got {!r}") -> int:
-    """value as an int, by the package's one integer rule: a bool, or a non-integral,
-    infinite or NaN value, fails with ``template`` filled with ``what`` and the value."""
+    """value as an int, by the package's one integer rule: a bool (Python's or numpy's),
+    or a non-integral, infinite or NaN value, fails with ``template`` filled with ``what``
+    and the value."""
     try:
-        n = None if isinstance(value, bool) else int(value)
+        n = None if isinstance(value, (bool, np.bool_)) else int(value)
     except (TypeError, ValueError, OverflowError):
         n = None
     POINT.fail(n is None or n != value, DomainError, template, what, value)

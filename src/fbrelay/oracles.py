@@ -32,6 +32,20 @@ integrator call.  The fixed-rule cross-check fading_outage_quadrature_fixed
 keeps composite Gauss-Legendre on a scalar integrand, so it shares neither
 scheme nor arithmetic with them.
 
+The true-tail conditional error depends on (n, rate) alone; the fading
+enters only through the density that multiplies it.  So the two true-tail
+entry points share one per-process memo of the first pass: its panels and
+the conditional error at their nodes, keyed by (sqrt(n), rate ln 2, cuts),
+where cuts are the breakpoints from _axis_cuts (a density-scale hint cut
+simply makes another key).  All the links at one (n, rate) of a power-split
+search, a coarse scan or an SNR sweep then lay out and evaluate that pass
+once.  Most integrals converge in their first pass, which is then one
+multiplication by the density; later passes run as without the memo.  The
+memo keeps the _MEMO_SIZE keys used last (about 1 MB of read-only arrays),
+and a batch fills all the keys it lacks in one call.  A value is the same
+bits with the memo cold or warm.  linearized_outage_quadrature and the
+fixed rule do not use it.
+
 Monte Carlo reproducibility contract: the estimate is a pure function of
 (seed, trials, partitions, stream).  Each partition owns a counter-based
 generator keyed by (seed, stream, partition index), and partial sums are
@@ -49,6 +63,7 @@ from __future__ import annotations
 import math
 import os
 import threading
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -126,8 +141,9 @@ def _gk21_tables() -> "tuple[np.ndarray, np.ndarray]":
 
 _GK21_NODES, _GK21_WEIGHTS = _gk21_tables()
 
-#: Equal panels each cut interval starts with.
+#: Equal panels each cut interval starts with, and their edges on [0, 1].
 _START_PANELS = 8
+_START_STEPS = np.arange(_START_PANELS + 1) / _START_PANELS
 
 #: Most panels a partition may hold (QUADPACK's limit is 400 subintervals).
 _PANEL_LIMIT = 400
@@ -255,16 +271,45 @@ def _sum_in_order(values: "list[float]") -> float:
     return sum(values) if len(values) < 8 else float(np.sum(values))
 
 
+def _first_panels(cuts: "list[list[float]]"):
+    """(owner, mid, half, width): the panels of _integrate's first pass over
+    a batch of integrals, and each integral's total width.
+
+    Each nonempty interval of integral j's cuts becomes _START_PANELS equal
+    panels, given by midpoint and half-width, with owner j; the panels lie
+    in integral order.  width[j] is the np.sum of those intervals' widths
+    (0.0 when there are none).  Every panel's arithmetic is its own, so a
+    panel's bits do not depend on the batch it is in.
+    """
+    lo, hi, owner, width = [], [], [], []
+    for j, edges in enumerate(cuts):
+        widths = []
+        for a, b in zip(edges, edges[1:]):
+            if b > a:
+                lo.append(a)
+                hi.append(b)
+                owner.append(j)
+                widths.append(b - a)
+        width.append(_sum_in_order(widths) if widths else 0.0)
+    lo, hi = np.array((lo, hi), dtype=float).reshape(2, -1, 1)
+    grid = lo + (hi - lo) * _START_STEPS
+    left, right = grid[:, :-1], grid[:, 1:]
+    owner = np.array(owner, dtype=np.intp).repeat(_START_PANELS)
+    return owner, (0.5 * (left + right)).ravel(), (0.5 * (right - left)).ravel(), width
+
+
 def _integrate(integrand, cuts: "list[list[float]]", abs_tol: float):
     """Adaptive Gauss-Kronrod quadrature of a batch of integrals.
 
     Integral j runs over the consecutive intervals [cuts[j][i],
     cuts[j][i+1]], empty ones skipped.  integrand(owner, x) maps abscissae x,
     one row per panel, to values, where owner[r] is the integral that row r
-    belongs to.  Each integral has its own error budget: a panel is
-    accepted once |K21 - G10| is at most abs_tol times its share of that
-    integral's total width, so the differences of its accepted panels add
-    up to at most abs_tol.
+    belongs to.  Its first call is the first pass, over the panels of
+    _first_panels(cuts); an integrand with a first_panels method gives those
+    panels itself (the true-tail integrands read them from the memo).  Each
+    integral has its own error budget: a panel is accepted once |K21 - G10|
+    is at most abs_tol times its share of that integral's total width, so
+    the differences of its accepted panels add up to at most abs_tol.
 
     Returns (totals, status).  status[j] is _CONVERGED, _NON_FINITE (a
     panel sum was not finite) or _CAPPED (more than _PANEL_LIMIT panels
@@ -279,41 +324,31 @@ def _integrate(integrand, cuts: "list[list[float]]", abs_tol: float):
     """
     size = len(cuts)
     totals, status = np.zeros(size), np.zeros(size, dtype=np.int8)
-    lo, hi, owner, tol_per_width = [], [], [], []
-    most = 0  # intervals of the integral with the most
-    for j, edges in enumerate(cuts):
-        widths = []
-        for a, b in zip(edges, edges[1:]):
-            if b > a:
-                lo.append(a)
-                hi.append(b)
-                owner.append(j)
-                widths.append(b - a)
-        tol_per_width.append(abs_tol / _sum_in_order(widths) if widths else 0.0)
-        most = max(most, len(widths))
-    if not lo:
+    owner, mid, half, width = getattr(integrand, "first_panels", _first_panels)(cuts)
+    if not owner.size:
         return totals, status
-    lo, hi, tol_per_width = np.array(lo, dtype=float), np.array(hi, dtype=float), np.array(tol_per_width)
-    grid = lo[:, None] + (hi - lo)[:, None] * (np.arange(_START_PANELS + 1) / _START_PANELS)
-    left, right = grid[:, :-1].ravel(), grid[:, 1:].ravel()
-    mid, half = 0.5 * (left + right), 0.5 * (right - left)
-    owner = np.array(owner).repeat(_START_PANELS)
+    tol_per_width = np.array([abs_tol / w if w else 0.0 for w in width])
     # opened holds every panel opened so far, as its integral's index.  No
-    # integral has more panels than bound (the first pass's largest count
-    # plus all panels opened since), so they are counted only past the cap.
+    # integral has more panels than bound (the first pass's largest possible
+    # count plus all panels opened since), so they are counted only past the
+    # cap.
     opened = [owner]
-    bound = _START_PANELS * most
+    bound = _START_PANELS * (max(map(len, cuts)) - 1)
     while True:
         values = integrand(owner, mid[:, None] + half[:, None] * _GK21_NODES)
         sums = _panel_sums(values, owner, size) * half[:, None]  # columns: Kronrod, Gauss
         done = np.abs(sums[:, 0] - sums[:, 1]) <= tol_per_width[owner] * (2.0 * half)
-        open_ = ~done
         if not np.isfinite(sums).all():
             failed = np.zeros(size, dtype=bool)
             failed[owner[~np.isfinite(sums).all(axis=1)]] = True
             status[failed] = _NON_FINITE
+            open_ = ~done & ~failed[owner]
             done &= ~failed[owner]
-            open_ &= ~failed[owner]
+        elif done.all():  # the usual end: the pass accepted every panel
+            _add_sums(totals, sums[:, 0], owner)
+            return totals, status
+        else:
+            open_ = ~done
         _add_sums(totals, sums[done, 0], owner[done])
         owner, mid, half = owner[open_], mid[open_], 0.5 * half[open_]
         if not owner.size:
@@ -383,6 +418,85 @@ def _axis_cuts(window: "tuple[float, float, float]", density) -> "tuple[float, l
     return head, cuts
 
 
+#: Most keys the first-pass memo holds.  An entry is at most 3 intervals of
+#: _START_PANELS panels, each a row of 23 doubles (4.4 KB), and most hold 2
+#: intervals, so the memo stays near 1 MB.
+_MEMO_SIZE = 256
+
+_memo: "OrderedDict[tuple, tuple]" = OrderedDict()
+_memo_lock = threading.Lock()
+
+
+def _first_pass(keys: "list[tuple]", conditional):
+    """(owner, mid, half, width, values): _first_panels of a batch of
+    true-tail integrals, and the conditional error at those panels' nodes.
+
+    Integral j's key is (sqrt(n), rate ln 2, cuts): the numbers the
+    conditional error reads and the breakpoints that place the nodes, so
+    equal keys give equal bits whatever the density and the numeric types
+    of n and rate.  Each key's entry, a read-only array of (mid, half,
+    values) rows and the width, comes from a memo of the _MEMO_SIZE keys
+    used last, shared by the process.  The missing keys are filled together
+    by one _first_panels call and one conditional(owner, x) call, as in a
+    later pass.  values is a fresh array.  The call keeps the entries it
+    found or filled, so no eviction, by its own fill or another thread's,
+    can take them from it.
+    """
+    with _memo_lock:
+        entries = [_memo.get(key) for key in keys]
+        for key, found in zip(keys, entries):
+            if found is not None:
+                _memo.move_to_end(key)
+    missing = {}  # key -> the first integral with it
+    for j, (key, found) in enumerate(zip(keys, entries)):
+        if found is None:
+            missing.setdefault(key, j)
+    if missing:
+        owner, mid, half, width = _first_panels([key[2] for key in missing])
+        values = conditional(np.array(list(missing.values()))[owner],
+                             mid[:, None] + half[:, None] * _GK21_NODES)
+        rows = np.concatenate((mid[:, None], half[:, None], values), axis=1)
+        ends = np.cumsum(np.bincount(owner, minlength=len(missing))).tolist()
+        filled = {}
+        for key, start, end, w in zip(missing, [0] + ends, ends, width):
+            part = rows[start:end].copy()  # no view keeps the whole fill alive
+            part.flags.writeable = False
+            filled[key] = part, w
+        with _memo_lock:
+            _memo.update(filled)
+            while len(_memo) > _MEMO_SIZE:
+                _memo.popitem(last=False)
+        if len(missing) == len(keys):  # the fill is the whole batch
+            return owner, mid, half, width, values
+        entries = [filled[key] if found is None else found for key, found in zip(keys, entries)]
+    parts, width = zip(*entries)
+    rows = np.concatenate(parts)
+    return (np.arange(len(keys)).repeat([len(part) for part in parts]), rows[:, 0], rows[:, 1],
+            list(width), np.ascontiguousarray(rows[:, 2:]))
+
+
+class _TrueTail:
+    """The integrand of a batch of true-tail integrals, for _integrate.
+
+    keys[j] is integral j's memo key (see _first_pass), conditional(owner, w)
+    the conditional error at nodes w, and weigh(owner, w, values) the values
+    times the density at w.  The first pass takes its panels and its
+    conditional error from the memo; later passes call conditional.
+    """
+
+    def __init__(self, keys: "list[tuple]", conditional, weigh) -> None:
+        self.keys, self.conditional, self.weigh = keys, conditional, weigh
+        self.first = None
+
+    def first_panels(self, _cuts):
+        *panels, self.first = _first_pass(self.keys, self.conditional)
+        return panels
+
+    def __call__(self, owner: np.ndarray, w: np.ndarray) -> np.ndarray:
+        values, self.first = self.first, None
+        return self.weigh(owner, w, self.conditional(owner, w) if values is None else values)
+
+
 def fading_outage_quadrature(
     n: int,
     rate: float,
@@ -398,12 +512,12 @@ def fading_outage_quadrature(
     check_code(POINT, n, rate)
     density = _as_density(channel)
     head, cuts = _axis_cuts(_transition_window(POINT, n, rate), density)
-
-    def integrand(w: np.ndarray) -> np.ndarray:
-        return _conditional_outage_np(n, rate, w) * _density_pdf(density, w)
-
-    value = head + _integrate_one(integrand, cuts, abs_tol)
-    value = min(max(value, 0.0), 1.0)  # round-off at the saturated ends
+    integrand = _TrueTail([(_sqrt_n(n), rate * LN2, tuple(cuts))],
+                          lambda _owner, w: _conditional_outage_np(n, rate, w),
+                          lambda _owner, w, values: values * _density_pdf(density, w))
+    totals, status = _integrate(integrand, [cuts], abs_tol)
+    _check_converged(POINT, status[0], cuts, abs_tol)
+    value = min(max(head + float(totals[0]), 0.0), 1.0)  # round-off at the saturated ends
     return OutageEstimate(value=value, method=EstimateMethod.QUAD_TRUE_Q)
 
 
@@ -456,8 +570,7 @@ def _true_tail_chunk(n, rate, z, y, window, abs_tol):
              (equal, _erlang_pdf, (z,)),
              (~single & ~equal, _hypoexp_pdf_np, (np.maximum(z, y), np.minimum(z, y))))
 
-    def integrand(owner: np.ndarray, w: np.ndarray) -> np.ndarray:
-        values = _conditional_outage_np(n[owner][:, None], rate[owner][:, None], w)
+    def weigh(owner: np.ndarray, w: np.ndarray, values: np.ndarray) -> np.ndarray:
         for rows, pdf, params in kinds:
             rows = rows[owner]
             if rows.all():
@@ -466,6 +579,10 @@ def _true_tail_chunk(n, rate, z, y, window, abs_tol):
                 values[rows] *= pdf(*(p[owner[rows]][:, None] for p in params), w[rows])
         return values
 
+    integrand = _TrueTail(
+        list(zip(_sqrt_n(n).tolist(), (rate * LN2).tolist(), map(tuple, cuts))),
+        lambda owner, w: _conditional_outage_np(n[owner][:, None], rate[owner][:, None], w),
+        weigh)
     totals, status = _integrate(integrand, cuts, abs_tol)
     failed = [cut for cut, s in zip(cuts, status.tolist()) if s != _CONVERGED]
     value = np.array(heads) + totals
@@ -606,9 +723,11 @@ def _pool_map(fn, count: int, workers: int):
 
 
 def _forget_pool() -> None:
-    """In a forked child: the parent's worker threads do not exist there."""
-    global _pool_lock, _pool, _pool_size
+    """In a forked child: the parent's worker threads do not exist there,
+    and a lock one of them held would stay held.  The memo's rows stay."""
+    global _pool_lock, _pool, _pool_size, _memo_lock
     _pool_lock, _pool, _pool_size = threading.Lock(), None, 0
+    _memo_lock = threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):

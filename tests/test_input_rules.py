@@ -203,6 +203,19 @@ def test_integral_counts_read_as_their_ints():
     assert (type(mc.trials), type(mc.seed)) == (int, int)
 
 
+def test_numpy_bools_are_refused_as_bools_are():
+    with pytest.raises(DomainError) as info:
+        Backend.monte_carlo(20000, np.True_)
+    assert str(info.value) == SEED + repr(np.True_)
+    with pytest.raises(DomainError, match=r"^partitions must be integers, got "):
+        fading_outage_mc(500, 0.5, 10.0, 20000, 1, partitions=np.True_)
+    (row,) = sweep("dt", CFG, "blocklength", [np.True_], Backend.closed_form())
+    shown = repr(np.True_)
+    assert row.error == f"blocklength={shown}: blocklength values must be integers, got {shown}"
+    with pytest.raises(DomainError, match=r"^n_values must be integers, got "):
+        reliability_region("dt", TEN_DB, [np.False_], [1], Backend.closed_form())
+
+
 def test_drivers_refuse_bools_as_integers():
     (row,) = sweep("dt", CFG, "blocklength", [True], Backend.closed_form())
     assert row.error == "blocklength=True: blocklength values must be integers, got True"
@@ -213,7 +226,8 @@ def test_drivers_refuse_bools_as_integers():
 #: Every kind of value a caller may pass for an integer.
 VALUES = st.one_of(
     st.sampled_from([
-        True, False, 0, 1, -1, -3, 2 ** 53 - 1, 2 ** 53 + 1, 10 ** 20, -(10 ** 20),
+        True, False, np.True_, np.False_,
+        0, 1, -1, -3, 2 ** 53 - 1, 2 ** 53 + 1, 10 ** 20, -(10 ** 20),
         0.5, 2.5, -1.0, 20000.0, 20000.5, 1e5, math.inf, -math.inf, math.nan,
         np.int64(20000), np.int32(-3), np.uint8(7), np.float64(20000.0), np.float64(1.5),
         np.float32(math.nan), "20000", "1e5", "-1", "2.5", "nan",
@@ -246,6 +260,10 @@ def _returns_or_refuses(call) -> None:
        partitions=_at_most(8), n=VALUES, k=VALUES)
 def test_integer_inputs_return_or_raise_typed_errors(trials, seed, small_trials, mc_seed,
                                                      partitions, n, k):
+    for value in (trials, seed, n, k):
+        if isinstance(value, (bool, np.bool_)):
+            with pytest.raises(DomainError):
+                as_int(value, "value")
     _returns_or_refuses(lambda: Backend.monte_carlo(trials, seed))
     _returns_or_refuses(lambda: fading_outage_mc(500, 0.5, 10.0, small_trials, mc_seed,
                                                  partitions=partitions))

@@ -17,9 +17,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import BLOCKLENGTHS, RATES
 from fbrelay import (
+    Backend,
     ConvergenceError,
     DomainError,
     EstimateMethod,
@@ -27,6 +29,8 @@ from fbrelay import (
     HypoexpParams,
     NumericError,
     OutageEstimate,
+    SnrValue,
+    TopologyConfig,
     fading_outage_mc,
     fading_outage_quadrature,
     fading_outage_quadrature_fixed,
@@ -35,9 +39,11 @@ from fbrelay import (
     linearized_outage_quadrature,
     mrc_pair_outage,
     outage_given_snr,
+    protocol_outage,
     rayleigh_outage,
+    sweep,
 )
-from fbrelay import oracles
+from fbrelay import oracles, protocols
 from fbrelay._cells import POINT, Grid
 from fbrelay.oracles import (
     MAX_WORKERS_ENV,
@@ -222,6 +228,227 @@ class TestGridOracle:
             assert got == self.point(int(n[i]), float(rate[i]), float(z[i]), float(y[i]))
             kinds.add("ok" if exc is None else str(exc).split(" ")[0])
         assert kinds >= {"ok", "blocklength", "rate", "true-tail"}
+
+
+def _clear_memo() -> None:
+    with oracles._memo_lock:
+        oracles._memo.clear()
+
+
+def _batch(cells):
+    """true_tail_outages over cells (n, rate, z, y): each value's hex, or
+    its failure as (type, message)."""
+    n, rate, z, y = (np.array(column) for column in zip(*cells))
+    grid = Grid(len(cells))
+    with np.errstate(all="ignore"):
+        values = true_tail_outages(grid, n, rate, z, y)
+    return [values[i].hex() if i not in grid.failures
+            else (type(grid.failures[i]), str(grid.failures[i])) for i in range(len(cells))]
+
+
+def _entry_bytes(entry):
+    *arrays, width = entry
+    return [array.tobytes() for array in arrays], width.hex()
+
+
+_MEANS = st.floats(1e-2, 1e4)
+_CODES = st.tuples(st.sampled_from([1, 2, 100, 500, 2000]), st.sampled_from([0.05, 0.5, 1.5]))
+
+#: True-tail cells (n, rate, z, y), y NaN for one link: single links,
+#: equal and unequal pairs, cells whose mean sits far below 2^rate - 1 (so
+#: the cuts get the density-scale hint), and cells at 510 bits per use,
+#: whose nodes pass 1e154.
+_MEMO_CELLS = st.one_of(
+    st.builds(lambda c, z: (*c, z, math.nan), _CODES, _MEANS),
+    st.builds(lambda c, z: (*c, z, z), _CODES, _MEANS),
+    st.builds(lambda c, z, r: (*c, z, z * r), _CODES, _MEANS,
+              st.sampled_from([0.25, 4.0, 1e-5, 1.0 + 1e-12])),
+    st.builds(lambda n, rate, z, y: (n, rate, z, y), st.sampled_from([100, 500, 2000]),
+              st.sampled_from([1.0, 2.0, 7.5]), st.floats(1e-6, 1e-3),
+              st.sampled_from([math.nan, 1e-4, 2e-6])),
+    st.builds(lambda n, z, y: (n, 510.0, z, y), st.sampled_from([1, 2, 3, 4]), _MEANS,
+              st.sampled_from([math.nan, 5.0])),
+)
+
+
+#: One cell of each kind of _MEMO_CELLS.
+_MEMO_EXAMPLE = [(500, 0.5, 10.0, math.nan), (500, 0.5, 10.0, 10.0), (500, 0.5, 10.0, 2.5),
+                 (500, 2.0, 1e-4, math.nan), (2, 510.0, 10.0, math.nan), (2, 510.0, 10.0, 5.0)]
+
+
+class TestFirstPassMemo:
+    """The true-tail oracle memoizes its first pass's panels and the
+    conditional error at their nodes per (sqrt(n), rate ln 2, cuts); no
+    value or failure depends on what the memo holds."""
+
+    @pytest.fixture(autouse=True)
+    def cold(self):
+        _clear_memo()
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(st.lists(_MEMO_CELLS, min_size=1, max_size=6))
+    @example(_MEMO_EXAMPLE)
+    def test_cold_and_warm_give_the_same_bits(self, cells):
+        cold_points = []
+        for cell in cells:
+            _clear_memo()
+            cold_points.append(TestGridOracle.point(*cell))
+        _clear_memo()
+        assert _batch(cells) == cold_points  # a cold batch
+        assert [TestGridOracle.point(*cell) for cell in cells] == cold_points  # warmed by it
+        assert _batch(cells) == cold_points  # warm
+        _clear_memo()
+        assert [TestGridOracle.point(*cell) for cell in cells] == cold_points  # warmed in turn
+        assert [TestGridOracle.point(*cell) for cell in cells[::-1]] == cold_points[::-1]
+
+    @pytest.mark.filterwarnings("ignore:blocklength n=")
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    @given(n_s=st.sampled_from([2, 100, 300]), n_r=st.sampled_from([2, 100, 500]),
+           k=st.sampled_from([20, 60, 1020]), snr_db=st.floats(-40.0, 30.0),
+           etas=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=4))
+    def test_protocol_cells_cold_and_warm(self, n_s, n_r, k, snr_db, etas):
+        # mixed framing when n_s != n_r; 510 bits per use at n = 2, k = 1020
+        base = TopologyConfig(total_snr=SnrValue.from_db(snr_db), eta=0.5, n_s=n_s, n_r=n_r,
+                              k=k, allow_short=True)
+        cfgs = [TopologyConfig(total_snr=base.total_snr, eta=eta, n_s=n_s, n_r=n_r, k=k,
+                               allow_short=True) for eta in etas]
+
+        def points():
+            got = []
+            for cfg in cfgs:
+                try:
+                    got.append(protocol_outage(protocol, cfg, Backend.quadrature()).value.hex())
+                except (DomainError, NumericError) as exc:
+                    got.append((type(exc), str(exc)))
+            return got
+
+        def batch():
+            outage, _, failures = protocols.outages(
+                protocol, protocols.TopologyCells(base, eta=etas), Backend.quadrature())
+            return [outage[i].item().hex() if i not in failures
+                    else (type(failures[i]), str(failures[i])) for i in range(len(etas))]
+
+        for protocol in ("df", "mrc"):
+            _clear_memo()
+            cold = points()
+            assert batch() == cold and points() == cold
+            _clear_memo()
+            assert batch() == cold and points() == cold
+
+    def test_the_example_has_hint_cuts_and_nodes_past_the_product_overflow(self):
+        cuts = [oracles._axis_cuts(oracles._transition_window(POINT, n, rate),
+                                   ExponentialDensity(z))[1] for n, rate, z, _ in _MEMO_EXAMPLE]
+        assert [len(c) for c in cuts] == [3, 3, 3, 4, 4, 4]  # the last three hinted
+        assert cuts[-1][-1] > 1e154
+
+    def test_a_batch_of_cached_and_missing_keys_equals_each_cell(self, monkeypatch):
+        # mixed framing, and SNRs down to where every cell's cuts differ
+        base = TopologyConfig(total_snr=SnrValue(10.0), eta=0.5, n_s=300, n_r=500, k=200)
+        snrs = [10.0 ** (e / 2.0) for e in range(-12, 3)]
+        for snr in snrs[::2]:  # half the cells' keys go into the memo first
+            protocol_outage("mrc", TopologyConfig(total_snr=SnrValue(snr), eta=0.5, n_s=300,
+                                                  n_r=500, k=200), Backend.quadrature())
+        hits = []
+        first_pass = oracles._first_pass
+
+        def spy(keys, conditional):
+            hits.extend(key in oracles._memo for key in keys)
+            return first_pass(keys, conditional)
+
+        monkeypatch.setattr(oracles, "_first_pass", spy)
+        cells = protocols.TopologyCells(base, total_snr=snrs)
+        outage, _, failures = protocols.outages("mrc", cells, Backend.quadrature())
+        assert any(hits) and not all(hits)
+        for i, snr in enumerate(snrs):
+            cfg = TopologyConfig(total_snr=SnrValue(snr), eta=0.5, n_s=300, n_r=500, k=200)
+            assert i not in failures
+            point = protocol_outage("mrc", cfg, Backend.quadrature())
+            assert outage[i].item().hex() == point.value.hex()
+
+    def test_missing_keys_fill_in_one_call(self):
+        cuts = [[0.0, 1.0, 3.0], [0.0, 0.5, 2.0, 9.0], [0.0, 1.0, 3.0], [0.2, 0.2, 4.0]]
+        n, rate = np.array([500, 200, 500, 100]), np.array([0.5, 0.25, 0.5, 1.0])
+        keys = list(zip(np.sqrt(n).tolist(), (rate * oracles.LN2).tolist(), map(tuple, cuts)))
+        calls = []
+
+        def conditional(owner, w):
+            calls.append(owner)
+            return _conditional_outage_np(n[owner][:, None], rate[owner][:, None], w)
+
+        oracles._first_pass(keys[1:2], lambda owner, w: conditional(owner + 1, w))
+        calls.clear()
+        *panels, values = oracles._first_pass(keys, conditional)  # key 1 is cached
+        (owner,) = calls  # one call, for keys 0 and 3: key 2 is key 0
+        assert sorted(set(owner.tolist())) == [0, 3]
+        want = oracles._first_panels(cuts)
+        whole, mid, half, width = want
+        assert [a.tobytes() for a in panels[:3]] == [a.tobytes() for a in want[:3]]
+        assert panels[3] == width
+        want = _conditional_outage_np(n[whole][:, None], rate[whole][:, None],
+                                      mid[:, None] + half[:, None] * _GK21_NODES)
+        assert values.tobytes() == want.tobytes() and values.flags.writeable
+        assert len(oracles._memo) == 3
+
+    def test_memo_arrays_are_read_only(self):
+        fading_outage_quadrature(500, 0.5, 10.0)
+        _batch([(200, 0.25, 3.0, math.nan), (300, 0.5, 2.0, 5.0)])
+        assert len(oracles._memo) == 3
+        for *arrays, _width in oracles._memo.values():
+            for array in arrays:
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[0] = 0.5
+
+    @pytest.mark.parametrize("bound", [3, None])
+    def test_the_bound_holds_past_a_sweep_of_more_distinct_n(self, monkeypatch, bound):
+        # with a bound of 3, the sweep's first batch of 32 distinct keys
+        # evicts its own rows before its first pass has read them all
+        if bound is not None:
+            monkeypatch.setattr(oracles, "_MEMO_SIZE", bound)
+        size = oracles._MEMO_SIZE
+        ns = list(range(100, 100 + 5 * (size + 37), 5))
+        cfg = TopologyConfig(total_snr=SnrValue(10.0), eta=0.5, n_s=100, n_r=100, k=40)
+        rows = sweep("dt", cfg, "blocklength", ns, Backend.quadrature())
+        assert len(oracles._memo) == size
+        for n, row in list(zip(ns, rows))[::7]:
+            point = protocol_outage("dt", TopologyConfig(total_snr=SnrValue(10.0), eta=0.5, n_s=n,
+                                                         n_r=n, k=40), Backend.quadrature())
+            assert row.outage.hex() == point.value.hex()
+            assert len(oracles._memo) <= size
+
+    @pytest.mark.parametrize("bound", [4, None])
+    def test_threads_filling_at_once_get_equal_values(self, monkeypatch, bound):
+        # more threads than cores, a short switch interval, and with a bound
+        # of 4 the threads evict each other's rows as they fill
+        cells = [(n, k / n, z, y) for n in (100, 300, 900) for k in (30, 90)
+                 for z, y in ((3.0, math.nan), (20.0, 4.0), (1e-4, math.nan))]
+        want = _batch(cells) + [TestGridOracle.point(*cell) for cell in cells]
+        want_rows = {key: _entry_bytes(entry) for key, entry in oracles._memo.items()}
+        if bound is not None:
+            monkeypatch.setattr(oracles, "_MEMO_SIZE", bound)
+        _clear_memo()
+        start, got = threading.Barrier(4), []
+
+        def run():
+            start.wait()
+            for _ in range(3):
+                got.append(_batch(cells) + [TestGridOracle.point(*cell) for cell in cells])
+
+        threads = [threading.Thread(target=run) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == [want] * 12
+        assert len(oracles._memo) <= oracles._MEMO_SIZE
+        assert {key: _entry_bytes(entry) for key, entry in oracles._memo.items()}.items() <= \
+            want_rows.items()
 
 
 class TestArrayIntegrand:
