@@ -42,9 +42,10 @@ search, a coarse scan or an SNR sweep then lay out and evaluate that pass
 once.  Most integrals converge in their first pass, which is then one
 multiplication by the density; later passes run as without the memo.  The
 memo keeps the _MEMO_SIZE keys used last (about 1 MB of read-only arrays),
-and a batch fills all the keys it lacks in one call.  A value is the same
-bits with the memo cold or warm.  linearized_outage_quadrature and the
-fixed rule do not use it.
+and a batch fills all the keys it lacks in one call; an entry shares that
+fill's arrays until it is first reused.  A value is the same bits with the
+memo cold or warm.  linearized_outage_quadrature and the fixed rule do not
+use it.
 
 Monte Carlo reproducibility contract: the estimate is a pure function of
 (seed, trials, partitions, stream).  Each partition owns a counter-based
@@ -372,9 +373,9 @@ def _integrate(integrand, cuts: "list[list[float]]", abs_tol: float):
 
 
 def _integrate_one(integrand, cuts: "list[float]", abs_tol: float) -> float:
-    """One integral of integrand(x) over cuts: _integrate's batch of one,
-    raising ConvergenceError where it gives up."""
-    totals, status = _integrate(lambda _owner, x: integrand(x), [cuts], abs_tol)
+    """One integral of integrand(owner, x) over cuts: _integrate's batch of
+    one, raising ConvergenceError where it gives up."""
+    totals, status = _integrate(integrand, [cuts], abs_tol)
     _check_converged(POINT, status[0], cuts, abs_tol)
     return float(totals[0])
 
@@ -419,12 +420,22 @@ def _axis_cuts(window: "tuple[float, float, float]", density) -> "tuple[float, l
 
 
 #: Most keys the first-pass memo holds.  An entry is at most 3 intervals of
-#: _START_PANELS panels, each a row of 23 doubles (4.4 KB), and most hold 2
-#: intervals, so the memo stays near 1 MB.
+#: _START_PANELS panels, each 23 doubles (4.4 KB), and most hold 2
+#: intervals, so the memo stays near 1 MB.  An entry of a fill of several
+#: keys starts as slices of the fill's arrays and gets its own copies when
+#: it is first reused.  An entry not yet reused has never moved, so every
+#: key filled after it is still held: the fills such entries keep alive
+#: hold at most _MEMO_SIZE + _CHUNK keys' panels.
 _MEMO_SIZE = 256
 
 _memo: "OrderedDict[tuple, tuple]" = OrderedDict()
 _memo_lock = threading.Lock()
+
+
+def _read_only(*arrays):
+    for array in arrays:
+        array.setflags(write=False)
+    return arrays
 
 
 def _first_pass(keys: "list[tuple]", conditional):
@@ -434,45 +445,55 @@ def _first_pass(keys: "list[tuple]", conditional):
     Integral j's key is (sqrt(n), rate ln 2, cuts): the numbers the
     conditional error reads and the breakpoints that place the nodes, so
     equal keys give equal bits whatever the density and the numeric types
-    of n and rate.  Each key's entry, a read-only array of (mid, half,
-    values) rows and the width, comes from a memo of the _MEMO_SIZE keys
-    used last, shared by the process.  The missing keys are filled together
-    by one _first_panels call and one conditional(owner, x) call, as in a
-    later pass.  values is a fresh array.  The call keeps the entries it
-    found or filled, so no eviction, by its own fill or another thread's,
-    can take them from it.
+    of n and rate.  Each key's entry, read-only mid, half and values arrays
+    and the width, comes from a memo of the _MEMO_SIZE keys used last,
+    shared by the process.  The missing keys are filled together by one
+    _first_panels call and one conditional(owner, x) call, as in a later
+    pass; a fill of keys whose intervals are all empty has no node and
+    makes no call.  mid and half may be the memo's; values is a fresh
+    array.  The call keeps the entries it found or filled, so no eviction,
+    by its own fill or another thread's, can take them from it.
     """
     with _memo_lock:
-        entries = [_memo.get(key) for key in keys]
+        entries = list(map(_memo.get, keys))
         for key, found in zip(keys, entries):
             if found is not None:
                 _memo.move_to_end(key)
+                if found[2].base is not None:  # first reuse: stop keeping its fill alive
+                    _memo[key] = (*_read_only(*(array.copy() for array in found[:3])), found[3])
     missing = {}  # key -> the first integral with it
     for j, (key, found) in enumerate(zip(keys, entries)):
         if found is None:
             missing.setdefault(key, j)
     if missing:
         owner, mid, half, width = _first_panels([key[2] for key in missing])
-        values = conditional(np.array(list(missing.values()))[owner],
-                             mid[:, None] + half[:, None] * _GK21_NODES)
-        rows = np.concatenate((mid[:, None], half[:, None], values), axis=1)
-        ends = np.cumsum(np.bincount(owner, minlength=len(missing))).tolist()
-        filled = {}
-        for key, start, end, w in zip(missing, [0] + ends, ends, width):
-            part = rows[start:end].copy()  # no view keeps the whole fill alive
-            part.flags.writeable = False
-            filled[key] = part, w
+        x = mid[:, None] + half[:, None] * _GK21_NODES
+        if not owner.size:  # no node to evaluate
+            values = x
+        elif len(missing) == len(keys):
+            values = conditional(owner, x)
+        else:
+            values = conditional(np.array(list(missing.values()))[owner], x)
+        kept = _read_only(mid, half, values.copy())
+        if len(missing) == 1:
+            filled = [(*kept, width[0])]
+        else:
+            ends = np.cumsum(np.bincount(owner, minlength=len(missing))).tolist()
+            filled = [(*(array[start:end] for array in kept), w)
+                      for start, end, w in zip([0] + ends, ends, width)]
         with _memo_lock:
-            _memo.update(filled)
-            while len(_memo) > _MEMO_SIZE:
+            _memo.update(zip(missing, filled))
+            for _ in range(len(_memo) - _MEMO_SIZE):
                 _memo.popitem(last=False)
         if len(missing) == len(keys):  # the fill is the whole batch
             return owner, mid, half, width, values
+        filled = dict(zip(missing, filled))
         entries = [filled[key] if found is None else found for key, found in zip(keys, entries)]
-    parts, width = zip(*entries)
-    rows = np.concatenate(parts)
-    return (np.arange(len(keys)).repeat([len(part) for part in parts]), rows[:, 0], rows[:, 1],
-            list(width), np.ascontiguousarray(rows[:, 2:]))
+    mid, half, values, width = zip(*entries)
+    if len(entries) == 1:
+        return np.zeros(len(mid[0]), dtype=np.intp), mid[0], half[0], list(width), values[0].copy()
+    return (np.arange(len(keys)).repeat([len(part) for part in mid]), np.concatenate(mid),
+            np.concatenate(half), list(width), np.concatenate(values))
 
 
 class _TrueTail:
@@ -515,9 +536,8 @@ def fading_outage_quadrature(
     integrand = _TrueTail([(_sqrt_n(n), rate * LN2, tuple(cuts))],
                           lambda _owner, w: _conditional_outage_np(n, rate, w),
                           lambda _owner, w, values: values * _density_pdf(density, w))
-    totals, status = _integrate(integrand, [cuts], abs_tol)
-    _check_converged(POINT, status[0], cuts, abs_tol)
-    value = min(max(head + float(totals[0]), 0.0), 1.0)  # round-off at the saturated ends
+    value = head + _integrate_one(integrand, cuts, abs_tol)
+    value = min(max(value, 0.0), 1.0)  # round-off at the saturated ends
     return OutageEstimate(value=value, method=EstimateMethod.QUAD_TRUE_Q)
 
 
@@ -649,7 +669,7 @@ def linearized_outage_quadrature(
     theta = params.theta
     cuts = [a, theta, hi] if a < theta else [a, hi]
 
-    def integrand(t: np.ndarray) -> np.ndarray:
+    def integrand(_owner: np.ndarray, t: np.ndarray) -> np.ndarray:
         return (0.5 - m * (t - theta)) * _density_pdf(density, t)
 
     value = head + _integrate_one(integrand, cuts, abs_tol)

@@ -93,19 +93,19 @@ class TestGaussKronrodRule:
         assert gauss_nodes == pytest.approx(np.polynomial.legendre.leggauss(10)[0], abs=1e-15)
 
     def test_smooth_integrand_over_several_cuts(self):
-        value = _integrate_one(np.exp, [0.0, 0.5, 0.5, 3.0], 1e-13)
+        value = _integrate_one(lambda _owner, x: np.exp(x), [0.0, 0.5, 0.5, 3.0], 1e-13)
         assert value == pytest.approx(math.expm1(3.0), abs=1e-12)
-        assert _integrate_one(np.exp, [1.0, 1.0], 1e-10) == 0.0
+        assert _integrate_one(lambda _owner, x: np.exp(x), [1.0, 1.0], 1e-10) == 0.0
 
     def test_nan_integrand_raises(self):
         with pytest.raises(ConvergenceError):
-            _integrate_one(lambda x: np.full(x.shape, math.nan), [0.0, 1.0, 2.0], 1e-10)
+            _integrate_one(lambda _owner, x: np.full(x.shape, math.nan), [0.0, 1.0, 2.0], 1e-10)
 
     def test_noise_integrand_raises_within_the_cap(self):
         rng = np.random.default_rng(20_261_017)
         evaluated = []
 
-        def noise(x):
+        def noise(_owner, x):
             evaluated.append(x.size)
             return rng.standard_normal(x.shape)
 
@@ -398,6 +398,48 @@ class TestFirstPassMemo:
                 assert not array.flags.writeable
                 with pytest.raises(ValueError):
                     array[0] = 0.5
+
+    def test_an_integral_with_no_interval_is_its_head(self):
+        # past n R of about 1e35 the ±42 sigma window is under half an ulp
+        # of w0, so every cut interval is empty and no node is evaluated
+        head, cuts = oracles._axis_cuts(oracles._transition_window(POINT, 10**40, 0.5),
+                                        ExponentialDensity(10.0))
+        assert cuts[0] == cuts[-1] and head > 0.0
+        for _ in range(2):  # cold, then warm
+            assert fading_outage_quadrature(10**40, 0.5, 10.0).value == head
+        _clear_memo()
+        hollow, full = (1e40, 0.5, 10.0, math.nan), (500.0, 0.5, 10.0, math.nan)
+        for _ in range(2):
+            assert _batch([hollow]) == [head.hex()]
+        _clear_memo()
+        want = [head.hex(), TestGridOracle.point(*full)]
+        for _ in range(2):
+            assert _batch([hollow, full]) == want
+
+    def test_an_entry_gets_its_own_rows_when_first_reused(self, monkeypatch):
+        monkeypatch.setattr(oracles, "_MEMO_SIZE", 6)
+        cells = [(n, 0.5, 10.0, math.nan) for n in (100, 200, 300, 400)]
+        want = _batch(cells)
+        fills = [values.base for _mid, _half, values, _width in oracles._memo.values()]
+        assert fills[0] is not None and all(fill is fills[0] for fill in fills)  # one fill
+        assert TestGridOracle.point(*cells[1]) == want[1]  # the first reuse of one key
+        own = [[array.base is None for array in entry[:3]] for entry in oracles._memo.values()]
+        assert own == [[False] * 3] * 3 + [[True] * 3]  # moved to the end, with its own copies
+        # entries never reused keep their fill alive only while every key
+        # filled after them is still held: at most 6 own copies and the
+        # fills of 6 + 5 keys, each key at most 3 intervals of panels
+        for step in range(1, 40):
+            _batch([(100 + 7 * step + i, 0.5, 10.0, math.nan) for i in range(step % 5 + 1)])
+            if step % 3 == 0:
+                _batch(cells[:2])
+            kept = {}
+            for *arrays, _width in oracles._memo.values():
+                assert not any(array.flags.writeable for array in arrays)
+                values = arrays[2] if arrays[2].base is None else arrays[2].base
+                kept[id(values)] = values
+            assert len(oracles._memo) <= 6
+            assert sum(len(values) for values in kept.values()) <= \
+                (6 + 6 + 5) * 3 * oracles._START_PANELS
 
     @pytest.mark.parametrize("bound", [3, None])
     def test_the_bound_holds_past_a_sweep_of_more_distinct_n(self, monkeypatch, bound):
