@@ -11,7 +11,8 @@ closed form against the adaptive true-Q quadrature oracle, and writes
 Run from the repository root:  python3 scripts/convention_report.py [--with-mc]
 
 --with-mc appends a Monte Carlo corroboration of the single worst cell
-(4e6 trials, fixed seed); it adds ~30 s and only affects the markdown text.
+(4e6 trials, fixed seed); it adds under a second on a 2-core host and only
+affects the markdown text.
 """
 
 from __future__ import annotations

@@ -118,6 +118,21 @@ def check_mean(cells, mean, template: str = EXPONENTIAL_MEAN_MESSAGE, *names, sh
                mean if shown is None else shown)
 
 
+def as_mean(value, template: str = EXPONENTIAL_MEAN_MESSAGE, *names) -> float:
+    """value as a float: an int or a float, not a bool, that check_mean
+    accepts, or a refusal with ``template`` filled with ``names`` and value."""
+    POINT.fail(not isinstance(value, (int, float)) or isinstance(value, bool), DomainError,
+               template, *names, value)
+    mean = float(value)
+    check_mean(POINT, mean, template, *names, shown=value)
+    return mean
+
+
+def exponential_cdf(w: float, mean: float) -> float:
+    """P[SNR <= w] for w >= 0 of the exponential density with this mean."""
+    return -math.expm1(-w / mean)
+
+
 @dataclass(frozen=True)
 class ExponentialDensity:
     """Exponential SNR density with the given mean (one Rayleigh link)."""
@@ -125,11 +140,7 @@ class ExponentialDensity:
     mean: float
 
     def __post_init__(self) -> None:
-        POINT.fail(not isinstance(self.mean, (int, float)), DomainError, EXPONENTIAL_MEAN_MESSAGE,
-                   self.mean)
-        mean = float(self.mean)
-        check_mean(POINT, mean, shown=self.mean)
-        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "mean", as_mean(self.mean))
 
     def pdf(self, w: float) -> float:
         if w < 0.0:
@@ -139,4 +150,4 @@ class ExponentialDensity:
     def cdf(self, w: float) -> float:
         if w < 0.0:
             raise DomainError(f"exponential support is [0, inf), got {w!r}")
-        return -math.expm1(-w / self.mean)
+        return exponential_cdf(w, self.mean)

@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass, field
 
 from ._cells import INF, POINT, exp_or_inf
-from ._estimates import check_mean
+from ._estimates import as_mean, check_mean, exponential_cdf
 from .errors import DomainError, NumericError
 from .finite_blocklength import SnrValue, check_snr
 from .linearization import (
@@ -74,21 +74,21 @@ class HypoexpParams:
 
     def __post_init__(self) -> None:
         for name in ("omega_z", "omega_y"):
-            v = getattr(self, name)
-            POINT.fail(not isinstance(v, (int, float)), DomainError, MEAN_MESSAGE, name, v)
-            mean = float(v)
-            check_mean(POINT, mean, MEAN_MESSAGE, name, shown=v)
-            object.__setattr__(self, name, mean)
-        tie = abs(self.omega_z - self.omega_y) <= TIE_TOLERANCE * max(
-            self.omega_z, self.omega_y
-        )
-        object.__setattr__(self, "equal_means", tie)
+            object.__setattr__(self, name, as_mean(getattr(self, name), MEAN_MESSAGE, name))
+        object.__setattr__(self, "equal_means", tied_means(POINT, self.omega_z, self.omega_y))
 
 
 def check_means(cells, omega_z, omega_y) -> None:
     """HypoexpParams' checks of its two means, for means given as plain floats."""
     check_mean(cells, omega_z, MEAN_MESSAGE, "omega_z")
     check_mean(cells, omega_y, MEAN_MESSAGE, "omega_y")
+
+
+def tied_means(cells, omega_z, omega_y):
+    """HypoexpParams.equal_means for means given as plain floats, at one
+    point or per cell of a Grid (see ``_cells``); false where omega_y is NaN."""
+    larger = cells.where(omega_z > omega_y, omega_z, omega_y)
+    return abs(omega_z - omega_y) <= TIE_TOLERANCE * larger
 
 
 def hypoexp_pdf(w: float, params: HypoexpParams) -> float:
@@ -105,9 +105,17 @@ def hypoexp_cdf(w: float, params: HypoexpParams) -> float:
     """P[sum <= w]; the closed tail used by the linearized quadrature."""
     if w < 0.0 or not math.isfinite(w):
         raise DomainError(f"hypoexponential support is [0, inf), got {w!r}")
-    oz, oy = params.omega_z, params.omega_y
-    if params.equal_means:
-        return -math.expm1(-w / oz) - (w / oz) * math.exp(-w / oz)
+    return means_cdf(w, params.omega_z, params.omega_y)
+
+
+def means_cdf(w: float, omega_z: float, omega_y: float) -> float:
+    """hypoexp_cdf, or ExponentialDensity.cdf where omega_y is NaN, for
+    valid means given as plain floats and finite w >= 0."""
+    oz, oy = omega_z, omega_y
+    if oy != oy:
+        return exponential_cdf(w, oz)
+    if tied_means(POINT, oz, oy):
+        return exponential_cdf(w, oz) - (w / oz) * math.exp(-w / oz)
     return 1.0 - (oz * math.exp(-w / oz) - oy * math.exp(-w / oy)) / (oz - oy)
 
 

@@ -26,11 +26,16 @@ within abs_tol times its share of its integral's total width, and bisects
 the rest.  A panel cap per integral bounds the work; reaching it, or a
 non-finite panel sum, fails that integral alone with ConvergenceError.  An
 integral's value does not depend on the batch it is in, bit for bit.
-true_tail_outages runs fading_outage_quadrature over the cells of a
-``_cells.Grid`` (the protocol layer's batches), a fixed number of cells per
-integrator call.  The fixed-rule cross-check fading_outage_quadrature_fixed
-keeps composite Gauss-Legendre on a scalar integrand, so it shares neither
-scheme nor arithmetic with them.
+true_tail_outages gives, for each cell of a ``_cells.Grid`` (the protocol
+layer's batches), the bits of fading_outage_quadrature at that cell, with
+the integrals of a fixed number of cells per integrator call.  The
+fixed-rule cross-check fading_outage_quadrature_fixed keeps composite
+Gauss-Legendre on a scalar integrand, so it shares neither scheme nor
+arithmetic with them.
+
+Below _as_density, the parser of the public channel argument, the oracles
+read a channel as its branch means (omega_z, omega_y), omega_y NaN for one
+Rayleigh link: two floats at a point, two columns in a batch.
 
 The true-tail conditional error depends on (n, rate) alone; the fading
 enters only through the density that multiplies it.  So the two true-tail
@@ -40,12 +45,12 @@ where cuts are the breakpoints from _axis_cuts (a density-scale hint cut
 simply makes another key).  All the links at one (n, rate) of a power-split
 search, a coarse scan or an SNR sweep then lay out and evaluate that pass
 once.  Most integrals converge in their first pass, which is then one
-multiplication by the density; later passes run as without the memo.  The
-memo keeps the _MEMO_SIZE keys used last (about 1 MB of read-only arrays),
-and a batch fills all the keys it lacks in one call; an entry shares that
-fill's arrays until it is first reused.  A value is the same bits with the
-memo cold or warm.  linearized_outage_quadrature and the fixed rule do not
-use it.
+multiplication by the density, handed to _integrate as evaluated; later
+passes run as without the memo.  The memo keeps the _MEMO_SIZE keys used
+last (about 1 MB of read-only arrays), and a batch fills all the keys it
+lacks in one call; an entry shares that fill's arrays until it is first
+reused.  A value is the same bits with the memo cold or warm.
+linearized_outage_quadrature and the fixed rule do not use it.
 
 Monte Carlo reproducibility contract: the estimate is a pure function of
 (seed, trials, partitions, stream).  Each partition owns a counter-based
@@ -66,6 +71,7 @@ import os
 import threading
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 from scipy.special import erfc
@@ -73,7 +79,7 @@ from scipy.special import erfc
 from ._cells import INF, POINT, expm1_or_inf
 from ._estimates import (EstimateMethod, ExponentialDensity, OutageEstimate, as_int, check_seed,
                          check_trials)
-from .closed_form import HypoexpParams, hypoexp_cdf, hypoexp_pdf
+from .closed_form import HypoexpParams, hypoexp_pdf, means_cdf, tied_means
 from .errors import ConvergenceError, DomainError, NumericError
 from .finite_blocklength import LN2, SnrValue, check_code, outage_given_snr
 from .linearization import LinearizationParams, RampSlope, ramp_coefficients
@@ -155,13 +161,15 @@ _FIXED_PANELS = 96
 _FIXED_ORDER = 16
 
 
-def _as_density(channel) -> "ExponentialDensity | HypoexpParams":
-    if isinstance(channel, (ExponentialDensity, HypoexpParams)):
-        return channel
-    if isinstance(channel, SnrValue):
-        return ExponentialDensity(channel.value)
-    if isinstance(channel, (int, float)):
-        return ExponentialDensity(float(channel))
+def _as_density(channel) -> "tuple[float, float]":
+    """(omega_z, omega_y): the branch means of the channel's SNR density,
+    omega_y NaN for one link.  A bool is not an average SNR."""
+    if isinstance(channel, HypoexpParams):
+        return channel.omega_z, channel.omega_y
+    if isinstance(channel, (int, float, SnrValue)) and not isinstance(channel, bool):
+        channel = ExponentialDensity(float(channel))
+    if isinstance(channel, ExponentialDensity):
+        return channel.mean, math.nan
     raise DomainError(f"cannot interpret {channel!r} as a channel density")
 
 
@@ -178,8 +186,9 @@ def _hypoexp_pdf_np(big, small, w: np.ndarray) -> np.ndarray:
     return np.exp(-w / big) * -np.expm1(-w * (gap / (big * small))) / gap
 
 
-def _density_pdf(density, w: np.ndarray) -> np.ndarray:
-    """Array twin of ExponentialDensity.pdf and hypoexp_pdf, for w >= 0.
+def _pdf(omega_z: float, omega_y: float):
+    """(pdf, params): the array twin of ExponentialDensity.pdf and
+    hypoexp_pdf for these branch means, as pdf(*params, w) for w >= 0.
 
     With big > small the two means, the distinct-means density is taken as
     exp(-w/big) * -expm1(-w * gap/(big*small)) / gap, gap = big - small: the
@@ -189,24 +198,11 @@ def _density_pdf(density, w: np.ndarray) -> np.ndarray:
     subdivision.  The three formulas take their parameters as scalars or as
     columns, one row per panel, with the same arithmetic either way.
     """
-    if isinstance(density, ExponentialDensity):
-        return _exponential_pdf(density.mean, w)
-    oz, oy = density.omega_z, density.omega_y
-    if density.equal_means:
-        return _erlang_pdf(oz, w)
-    return _hypoexp_pdf_np(max(oz, oy), min(oz, oy), w)
-
-
-def _density_cdf(density, w: float) -> float:
-    if isinstance(density, ExponentialDensity):
-        return density.cdf(w)
-    return hypoexp_cdf(w, density)
-
-
-def _density_scale(density) -> float:
-    if isinstance(density, ExponentialDensity):
-        return density.mean
-    return max(density.omega_z, density.omega_y)
+    if omega_y != omega_y:
+        return _exponential_pdf, (omega_z,)
+    if tied_means(POINT, omega_z, omega_y):
+        return _erlang_pdf, (omega_z,)
+    return _hypoexp_pdf_np, (max(omega_z, omega_y), min(omega_z, omega_y))
 
 
 def _check_abs_tol(abs_tol: float) -> float:
@@ -299,18 +295,19 @@ def _first_panels(cuts: "list[list[float]]"):
     return owner, (0.5 * (left + right)).ravel(), (0.5 * (right - left)).ravel(), width
 
 
-def _integrate(integrand, cuts: "list[list[float]]", abs_tol: float):
+def _integrate(integrand, cuts: "list[list[float]]", abs_tol: float, first=None):
     """Adaptive Gauss-Kronrod quadrature of a batch of integrals.
 
     Integral j runs over the consecutive intervals [cuts[j][i],
     cuts[j][i+1]], empty ones skipped.  integrand(owner, x) maps abscissae x,
     one row per panel, to values, where owner[r] is the integral that row r
-    belongs to.  Its first call is the first pass, over the panels of
-    _first_panels(cuts); an integrand with a first_panels method gives those
-    panels itself (the true-tail integrands read them from the memo).  Each
-    integral has its own error budget: a panel is accepted once |K21 - G10|
-    is at most abs_tol times its share of that integral's total width, so
-    the differences of its accepted panels add up to at most abs_tol.
+    belongs to.  The first pass is over the panels of _first_panels(cuts); a
+    caller that has evaluated it (the true-tail oracles, from the memo)
+    passes it as first = (owner, mid, half, width, values at their nodes).
+    Each integral has its own error budget: a panel is accepted once
+    |K21 - G10| is at most abs_tol times its share of that integral's total
+    width, so the differences of its accepted panels add up to at most
+    abs_tol.
 
     Returns (totals, status).  status[j] is _CONVERGED, _NON_FINITE (a
     panel sum was not finite) or _CAPPED (more than _PANEL_LIMIT panels
@@ -325,7 +322,7 @@ def _integrate(integrand, cuts: "list[list[float]]", abs_tol: float):
     """
     size = len(cuts)
     totals, status = np.zeros(size), np.zeros(size, dtype=np.int8)
-    owner, mid, half, width = getattr(integrand, "first_panels", _first_panels)(cuts)
+    owner, mid, half, width, values = first or (*_first_panels(cuts), None)
     if not owner.size:
         return totals, status
     tol_per_width = np.array([abs_tol / w if w else 0.0 for w in width])
@@ -336,8 +333,10 @@ def _integrate(integrand, cuts: "list[list[float]]", abs_tol: float):
     opened = [owner]
     bound = _START_PANELS * (max(map(len, cuts)) - 1)
     while True:
-        values = integrand(owner, mid[:, None] + half[:, None] * _GK21_NODES)
+        if values is None:
+            values = integrand(owner, mid[:, None] + half[:, None] * _GK21_NODES)
         sums = _panel_sums(values, owner, size) * half[:, None]  # columns: Kronrod, Gauss
+        values = None
         done = np.abs(sums[:, 0] - sums[:, 1]) <= tol_per_width[owner] * (2.0 * half)
         if not np.isfinite(sums).all():
             failed = np.zeros(size, dtype=bool)
@@ -372,10 +371,10 @@ def _integrate(integrand, cuts: "list[list[float]]", abs_tol: float):
         owner = owner.repeat(2)
 
 
-def _integrate_one(integrand, cuts: "list[float]", abs_tol: float) -> float:
+def _integrate_one(integrand, cuts: "list[float]", abs_tol: float, first=None) -> float:
     """One integral of integrand(owner, x) over cuts: _integrate's batch of
     one, raising ConvergenceError where it gives up."""
-    totals, status = _integrate(integrand, [cuts], abs_tol)
+    totals, status = _integrate(integrand, [cuts], abs_tol, first)
     _check_converged(POINT, status[0], cuts, abs_tol)
     return float(totals[0])
 
@@ -404,16 +403,17 @@ def _transition_window(cells, n, rate):
     return w0, cells.where(w_lo > 0.0, w_lo, 0.0), w0 + width
 
 
-def _axis_cuts(window: "tuple[float, float, float]", density) -> "tuple[float, list[float]]":
+def _axis_cuts(window: "tuple[float, float, float]", omega_z: float,
+               omega_y: float) -> "tuple[float, list[float]]":
     """(head, cuts) for a true-tail quadrature over one cell's window: the
-    density's mass below the saturated window, and the breakpoints to
-    integrate over."""
+    mass of the density with branch means (omega_z, omega_y) below the
+    saturated window, and the breakpoints to integrate over."""
     w0, w_lo, w_hi = window
-    head = _density_cdf(density, w_lo) if w_lo > 0.0 else 0.0
+    head = means_cdf(w_lo, omega_z, omega_y) if w_lo > 0.0 else 0.0
     cuts = [w_lo, w0, w_hi]
     # If the density decays long before the transition, hint the mass scale
     # so the subdivision does not have to discover it on a huge interval.
-    scale = 50.0 * _density_scale(density)
+    scale = 50.0 * (omega_z if omega_y != omega_y else max(omega_z, omega_y))
     if w_lo + scale < w0:
         cuts.insert(1, w_lo + scale)
     return head, cuts
@@ -439,8 +439,9 @@ def _read_only(*arrays):
 
 
 def _first_pass(keys: "list[tuple]", conditional):
-    """(owner, mid, half, width, values): _first_panels of a batch of
-    true-tail integrals, and the conditional error at those panels' nodes.
+    """(owner, mid, half, width, nodes, values): _first_panels of a batch
+    of true-tail integrals, the node matrix mid[:, None] + half[:, None] *
+    _GK21_NODES, and the conditional error at those nodes.
 
     Integral j's key is (sqrt(n), rate ln 2, cuts): the numbers the
     conditional error reads and the breakpoints that place the nodes, so
@@ -450,9 +451,10 @@ def _first_pass(keys: "list[tuple]", conditional):
     shared by the process.  The missing keys are filled together by one
     _first_panels call and one conditional(owner, x) call, as in a later
     pass; a fill of keys whose intervals are all empty has no node and
-    makes no call.  mid and half may be the memo's; values is a fresh
-    array.  The call keeps the entries it found or filled, so no eviction,
-    by its own fill or another thread's, can take them from it.
+    makes no call.  mid and half may be the memo's read-only arrays, and so
+    may values in a batch of one; nodes is a fresh array.  The call keeps
+    the entries it found or filled, so no eviction, by its own fill or
+    another thread's, can take them from it.
     """
     with _memo_lock:
         entries = list(map(_memo.get, keys))
@@ -486,36 +488,16 @@ def _first_pass(keys: "list[tuple]", conditional):
             for _ in range(len(_memo) - _MEMO_SIZE):
                 _memo.popitem(last=False)
         if len(missing) == len(keys):  # the fill is the whole batch
-            return owner, mid, half, width, values
+            return owner, mid, half, width, x, values
         filled = dict(zip(missing, filled))
         entries = [filled[key] if found is None else found for key, found in zip(keys, entries)]
     mid, half, values, width = zip(*entries)
     if len(entries) == 1:
-        return np.zeros(len(mid[0]), dtype=np.intp), mid[0], half[0], list(width), values[0].copy()
-    return (np.arange(len(keys)).repeat([len(part) for part in mid]), np.concatenate(mid),
-            np.concatenate(half), list(width), np.concatenate(values))
-
-
-class _TrueTail:
-    """The integrand of a batch of true-tail integrals, for _integrate.
-
-    keys[j] is integral j's memo key (see _first_pass), conditional(owner, w)
-    the conditional error at nodes w, and weigh(owner, w, values) the values
-    times the density at w.  The first pass takes its panels and its
-    conditional error from the memo; later passes call conditional.
-    """
-
-    def __init__(self, keys: "list[tuple]", conditional, weigh) -> None:
-        self.keys, self.conditional, self.weigh = keys, conditional, weigh
-        self.first = None
-
-    def first_panels(self, _cuts):
-        *panels, self.first = _first_pass(self.keys, self.conditional)
-        return panels
-
-    def __call__(self, owner: np.ndarray, w: np.ndarray) -> np.ndarray:
-        values, self.first = self.first, None
-        return self.weigh(owner, w, self.conditional(owner, w) if values is None else values)
+        owner, (mid,), (half,), (values,) = np.zeros(mid[0].size, np.intp), mid, half, values
+    else:
+        owner = np.arange(len(keys)).repeat([len(part) for part in mid])
+        mid, half, values = np.concatenate(mid), np.concatenate(half), np.concatenate(values)
+    return owner, mid, half, list(width), mid[:, None] + half[:, None] * _GK21_NODES, values
 
 
 def fading_outage_quadrature(
@@ -531,12 +513,16 @@ def fading_outage_quadrature(
     """
     abs_tol = _check_abs_tol(abs_tol)
     check_code(POINT, n, rate)
-    density = _as_density(channel)
-    head, cuts = _axis_cuts(_transition_window(POINT, n, rate), density)
-    integrand = _TrueTail([(_sqrt_n(n), rate * LN2, tuple(cuts))],
-                          lambda _owner, w: _conditional_outage_np(n, rate, w),
-                          lambda _owner, w, values: values * _density_pdf(density, w))
-    value = head + _integrate_one(integrand, cuts, abs_tol)
+    omega_z, omega_y = _as_density(channel)
+    head, cuts = _axis_cuts(_transition_window(POINT, n, rate), omega_z, omega_y)
+    pdf, params = _pdf(omega_z, omega_y)
+    owner, mid, half, width, w, values = _first_pass(
+        [(_sqrt_n(n), rate * LN2, tuple(cuts))],
+        lambda _owner, w: _conditional_outage_np(n, rate, w))
+    first = owner, mid, half, width, values * pdf(*params, w)
+    value = head + _integrate_one(
+        lambda _owner, w: _conditional_outage_np(n, rate, w) * pdf(*params, w),
+        cuts, abs_tol, first)
     value = min(max(value, 0.0), 1.0)  # round-off at the saturated ends
     return OutageEstimate(value=value, method=EstimateMethod.QUAD_TRUE_Q)
 
@@ -564,7 +550,7 @@ def true_tail_outages(cells, n, rate, omega_z, omega_y=None, abs_tol: float = 1e
     for start in range(0, live.size, _CHUNK):  # none when every cell has failed
         chunk = live[start:start + _CHUNK]
         failed, status, value[chunk] = _true_tail_chunk(
-            n[chunk], rate[chunk], omega_z[chunk], omega_y[chunk],
+            cells, n[chunk], rate[chunk], omega_z[chunk], omega_y[chunk],
             [edge[chunk] for edge in window], abs_tol)
         outcome[chunk] = status
         for i, cut in zip(chunk[status != _CONVERGED].tolist(), failed):
@@ -573,19 +559,13 @@ def true_tail_outages(cells, n, rate, omega_z, omega_y=None, abs_tol: float = 1e
     return value
 
 
-def _true_tail_chunk(n, rate, z, y, window, abs_tol):
+def _true_tail_chunk(cells, n, rate, z, y, window, abs_tol):
     """(cuts of the failed integrals, status, values) of the true-tail
-    integrals of a few cells, given as columns (see true_tail_outages)."""
-    densities = [ExponentialDensity(a) if b != b else HypoexpParams(a, b)
-                 for a, b in zip(z.tolist(), y.tolist())]
-    heads, cuts = [], []
-    for edges, density in zip(zip(*(edge.tolist() for edge in window)), densities):
-        head, cut = _axis_cuts(edges, density)
-        heads.append(head)
-        cuts.append(cut)
+    integrals of a few live cells, given as columns (see true_tail_outages)."""
+    windows = zip(*(edge.tolist() for edge in window))
+    heads, cuts = zip(*map(_axis_cuts, windows, z.tolist(), y.tolist()))
     single = y != y
-    equal = np.array([not s and d.equal_means for s, d in zip(single.tolist(), densities)],
-                     dtype=bool)
+    equal = tied_means(cells, z, y)
     kinds = ((single, _exponential_pdf, (z,)),
              (equal, _erlang_pdf, (z,)),
              (~single & ~equal, _hypoexp_pdf_np, (np.maximum(z, y), np.minimum(z, y))))
@@ -599,11 +579,14 @@ def _true_tail_chunk(n, rate, z, y, window, abs_tol):
                 values[rows] *= pdf(*(p[owner[rows]][:, None] for p in params), w[rows])
         return values
 
-    integrand = _TrueTail(
-        list(zip(_sqrt_n(n).tolist(), (rate * LN2).tolist(), map(tuple, cuts))),
-        lambda owner, w: _conditional_outage_np(n[owner][:, None], rate[owner][:, None], w),
-        weigh)
-    totals, status = _integrate(integrand, cuts, abs_tol)
+    def conditional(owner: np.ndarray, w: np.ndarray) -> np.ndarray:
+        return _conditional_outage_np(n[owner][:, None], rate[owner][:, None], w)
+
+    owner, mid, half, width, w, values = _first_pass(
+        list(zip(_sqrt_n(n).tolist(), (rate * LN2).tolist(), map(tuple, cuts))), conditional)
+    first = owner, mid, half, width, weigh(owner, w, values)
+    totals, status = _integrate(lambda owner, w: weigh(owner, w, conditional(owner, w)), cuts,
+                                abs_tol, first)
     failed = [cut for cut, s in zip(cuts, status.tolist()) if s != _CONVERGED]
     value = np.array(heads) + totals
     return failed, status, np.where(value < 0.0, 0.0, np.where(value > 1.0, 1.0, value))
@@ -620,17 +603,15 @@ def fading_outage_quadrature_fixed(n: int, rate: float, channel) -> float:
     gets a cut interval of its own.
     """
     check_code(POINT, n, rate)
-    density = _as_density(channel)
-    head, cuts = _axis_cuts(_transition_window(POINT, n, rate), density)
-    if isinstance(density, ExponentialDensity):
-        pdf = density.pdf
+    omega_z, omega_y = _as_density(channel)
+    head, cuts = _axis_cuts(_transition_window(POINT, n, rate), omega_z, omega_y)
+    if omega_y != omega_y:
+        pdf = ExponentialDensity(omega_z).pdf
     else:
-        rise = 50.0 * min(density.omega_z, density.omega_y)
+        pdf = partial(hypoexp_pdf, params=HypoexpParams(omega_z, omega_y))
+        rise = 50.0 * min(omega_z, omega_y)
         if cuts[0] < rise < cuts[-1]:
             cuts = sorted(cuts + [rise])
-
-        def pdf(x: float) -> float:
-            return hypoexp_pdf(x, density)
 
     nodes, weights = np.polynomial.legendre.leggauss(_FIXED_ORDER)
     total = head
@@ -661,16 +642,17 @@ def linearized_outage_quadrature(
     1e-8 absolute everywhere they are claimed valid.
     """
     abs_tol = _check_abs_tol(abs_tol)
-    density = _as_density(density)
+    omega_z, omega_y = _as_density(density)
     m, lo, hi = ramp_coefficients(params, slope)
     a = max(lo, 0.0)
-    head = _density_cdf(density, a) if a > 0.0 else 0.0
+    head = means_cdf(a, omega_z, omega_y) if a > 0.0 else 0.0
+    pdf, pdf_params = _pdf(omega_z, omega_y)
 
     theta = params.theta
     cuts = [a, theta, hi] if a < theta else [a, hi]
 
     def integrand(_owner: np.ndarray, t: np.ndarray) -> np.ndarray:
-        return (0.5 - m * (t - theta)) * _density_pdf(density, t)
+        return (0.5 - m * (t - theta)) * pdf(*pdf_params, t)
 
     value = head + _integrate_one(integrand, cuts, abs_tol)
     value = min(max(value, 0.0), 1.0)
@@ -778,7 +760,7 @@ def fading_outage_mc(
     if partitions < 1:
         raise DomainError(f"partitions must be >= 1, got {partitions!r}")
     check_code(POINT, n, rate)
-    density = _as_density(channel)
+    omega_z, omega_y = _as_density(channel)
 
     base, extra = divmod(trials, partitions)
     chunk_sizes = [base + (1 if i < extra else 0) for i in range(partitions)]
@@ -789,11 +771,9 @@ def fading_outage_mc(
             return 0.0, 0.0
         ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream, index))
         gen = np.random.Generator(np.random.Philox(ss))
-        if isinstance(density, ExponentialDensity):
-            w = gen.exponential(density.mean, size=size)
-        else:
-            w = gen.exponential(density.omega_z, size=size)
-            w = w + gen.exponential(density.omega_y, size=size)
+        w = gen.exponential(omega_z, size=size)
+        if omega_y == omega_y:  # the combined link: the sum of the two branch draws
+            w = w + gen.exponential(omega_y, size=size)
         values = _conditional_outage_np(n, rate, w)
         if bernoulli:
             values = (gen.random(size) < values).astype(float)

@@ -416,9 +416,9 @@ class TestRefusedCells:
         inner = oracles._integrate
         sizes = []
 
-        def counted(integrand, cuts, abs_tol):
+        def counted(integrand, cuts, abs_tol, first=None):
             sizes.append(len(cuts))
-            return inner(integrand, cuts, abs_tol)
+            return inner(integrand, cuts, abs_tol, first)
 
         monkeypatch.setattr(oracles, "_integrate", counted)
         reliability_region("mrc", TEN_DB, [20, 50], [5, 10], Backend.quadrature())

@@ -97,6 +97,18 @@ PINNED = [
     (lambda v: fading_outage_quadrature(500, 0.5, v), np.float64(math.inf), EXP + "inf"),
     (lambda v: fading_outage_quadrature(500, 0.5, v), np.int64(-1),
      "cannot interpret np.int64(-1) as a channel density"),
+    (ExponentialDensity, True, EXP + "True"),
+    (ExponentialDensity, np.True_, EXP + "np.True_"),
+    (lambda v: HypoexpParams(v, 2.0), True, "omega_z must be a positive finite mean, got True"),
+    (lambda v: HypoexpParams(2.0, v), False, "omega_y must be a positive finite mean, got False"),
+    (lambda v: HypoexpParams(2.0, v), np.False_,
+     "omega_y must be a positive finite mean, got np.False_"),
+    (lambda v: fading_outage_quadrature(500, 0.5, v), True,
+     "cannot interpret True as a channel density"),
+    (lambda v: fading_outage_quadrature(500, 0.5, v), np.True_,
+     "cannot interpret np.True_ as a channel density"),
+    (lambda v: fading_outage_mc(500, 0.5, v, 20000, 1), False,
+     "cannot interpret False as a channel density"),
 ]
 
 

@@ -30,6 +30,7 @@ from fbrelay import (
     NumericError,
     OutageEstimate,
     SnrValue,
+    TIE_TOLERANCE,
     TopologyConfig,
     fading_outage_mc,
     fading_outage_quadrature,
@@ -56,9 +57,9 @@ from fbrelay.oracles import (
     _PANEL_LIMIT,
     _check_converged,
     _conditional_outage_np,
-    _density_pdf,
     _integrate,
     _integrate_one,
+    _pdf,
     _q_argument,
     _sum_in_order,
     true_tail_outages,
@@ -218,6 +219,10 @@ class TestGridOracle:
         rate = rng.choice([0.0, 0.05, 0.5, 2.0, 7.5, 600.0], size)
         z = 10.0 ** rng.uniform(-2.0, 4.0, size)
         y = np.where(rng.random(size) < 0.4, np.nan, z * rng.choice([1.0, 1.0 + 1e-12, 0.25, 1e-5], size))
+        edges = [cell for mean in (10.0, 2.5e-3, 777.0) for cell in _tie_edges(mean)]
+        n, rate = np.append(n, [500] * len(edges)), np.append(rate, [0.5] * len(edges))
+        z, y = (np.append(column, side) for column, side in zip((z, y), zip(*edges)))
+        size += len(edges)
         grid = Grid(size)
         with np.errstate(all="ignore"):  # failed cells carry garbage, as in any Grid
             values = true_tail_outages(grid, n, rate, z, y)
@@ -228,6 +233,38 @@ class TestGridOracle:
             assert got == self.point(int(n[i]), float(rate[i]), float(z[i]), float(y[i]))
             kinds.add("ok" if exc is None else str(exc).split(" ")[0])
         assert kinds >= {"ok", "blocklength", "rate", "true-tail"}
+
+    def test_a_batch_builds_no_density_objects(self, monkeypatch):
+        built = []
+        for kind in (ExponentialDensity, HypoexpParams):
+            def spy(density, check=kind.__post_init__):
+                built.append(type(density).__name__)
+                check(density)
+
+            monkeypatch.setattr(kind, "__post_init__", spy)
+        _clear_memo()
+        for _ in range(2):  # cold, then warm
+            _batch(_MEMO_EXAMPLE)
+        assert built == []
+        HypoexpParams(10.0, 2.5)  # the spy sees what is built
+        assert built == ["HypoexpParams"]
+
+
+def _tie_edges(z):
+    """Pairs of means (z, y) and (y, z), where y is the last double on one
+    side of z that the equal-means tie rule still ties to z, and then the
+    first double past it, which it does not: eight pairs, above z and below."""
+    pairs = []
+    for away in (math.inf, 0.0):
+        y = z * (1.0 + math.copysign(TIE_TOLERANCE, away - z))
+        while HypoexpParams(z, y).equal_means:
+            y = math.nextafter(y, away)
+        while not HypoexpParams(z, y).equal_means:
+            y = math.nextafter(y, z)
+        past = math.nextafter(y, away)
+        assert not HypoexpParams(z, past).equal_means
+        pairs += [(z, y), (y, z), (z, past), (past, z)]
+    return pairs
 
 
 def _clear_memo() -> None:
@@ -337,7 +374,7 @@ class TestFirstPassMemo:
 
     def test_the_example_has_hint_cuts_and_nodes_past_the_product_overflow(self):
         cuts = [oracles._axis_cuts(oracles._transition_window(POINT, n, rate),
-                                   ExponentialDensity(z))[1] for n, rate, z, _ in _MEMO_EXAMPLE]
+                                   z, math.nan)[1] for n, rate, z, _ in _MEMO_EXAMPLE]
         assert [len(c) for c in cuts] == [3, 3, 3, 4, 4, 4]  # the last three hinted
         assert cuts[-1][-1] > 1e154
 
@@ -377,13 +414,14 @@ class TestFirstPassMemo:
 
         oracles._first_pass(keys[1:2], lambda owner, w: conditional(owner + 1, w))
         calls.clear()
-        *panels, values = oracles._first_pass(keys, conditional)  # key 1 is cached
+        *panels, nodes, values = oracles._first_pass(keys, conditional)  # key 1 is cached
         (owner,) = calls  # one call, for keys 0 and 3: key 2 is key 0
         assert sorted(set(owner.tolist())) == [0, 3]
         want = oracles._first_panels(cuts)
         whole, mid, half, width = want
         assert [a.tobytes() for a in panels[:3]] == [a.tobytes() for a in want[:3]]
         assert panels[3] == width
+        assert nodes.tobytes() == (mid[:, None] + half[:, None] * _GK21_NODES).tobytes()
         want = _conditional_outage_np(n[whole][:, None], rate[whole][:, None],
                                       mid[:, None] + half[:, None] * _GK21_NODES)
         assert values.tobytes() == want.tobytes() and values.flags.writeable
@@ -403,7 +441,7 @@ class TestFirstPassMemo:
         # past n R of about 1e35 the ±42 sigma window is under half an ulp
         # of w0, so every cut interval is empty and no node is evaluated
         head, cuts = oracles._axis_cuts(oracles._transition_window(POINT, 10**40, 0.5),
-                                        ExponentialDensity(10.0))
+                                        10.0, math.nan)
         assert cuts[0] == cuts[-1] and head > 0.0
         for _ in range(2):  # cold, then warm
             assert fading_outage_quadrature(10**40, 0.5, 10.0).value == head
@@ -517,14 +555,16 @@ class TestArrayIntegrand:
     def test_exponential_pdf(self, mean):
         d = ExponentialDensity(mean)
         scalar = np.array([d.pdf(w) for w in self.W])
-        assert np.all(np.abs(_density_pdf(d, self.W) - scalar) <= 1e-13 * scalar)
+        pdf, params = _pdf(d.mean, math.nan)
+        assert np.all(np.abs(pdf(*params, self.W) - scalar) <= 1e-13 * scalar)
 
     @pytest.mark.parametrize(
         "oz,oy", [(10.0, 10.0), (10.0, 2.5), (2.5, 10.0), (1.0, 10.0**-0.6), (10.0, 10.0 + 1e-6)]
     )
     def test_hypoexponential_pdf(self, oz, oy):
         params = HypoexpParams(oz, oy)
-        array = _density_pdf(params, self.W)
+        pdf, args = _pdf(oz, oy)
+        array = pdf(*args, self.W)
         scalar = np.array([hypoexp_pdf(w, params) for w in self.W])
         # hypoexp_pdf subtracts two exponentials, each off by about
         # (1 + w/mean) ulps (its rounded argument); the difference keeps that
