@@ -47,6 +47,12 @@ class EstimateMethod(enum.Enum):
     MONTE_CARLO = "monte_carlo"
 
 
+def check_estimate(cells, value) -> None:
+    """An estimate must lie in [0, 1], at one point or per cell of a Grid."""
+    cells.fail((value != value) | (value < 0.0) | (value > 1.0), NumericError,
+               "estimate {!r} lies outside [0, 1]", value)
+
+
 @dataclass(frozen=True)
 class OutageEstimate:
     """A probability plus the method that produced it.
@@ -62,8 +68,8 @@ class OutageEstimate:
     seed: "int | None" = None
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.value <= 1.0):
-            raise NumericError(f"estimate {self.value!r} lies outside [0, 1]")
+        if not (0.0 <= self.value <= 1.0):  # the check's own test, kept inline for speed
+            check_estimate(POINT, self.value)
         is_mc = self.method is EstimateMethod.MONTE_CARLO
         if is_mc:
             if self.std_error is None or self.trials is None or self.seed is None:

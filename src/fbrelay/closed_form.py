@@ -91,13 +91,20 @@ def tied_means(cells, omega_z, omega_y):
     return abs(omega_z - omega_y) <= TIE_TOLERANCE * larger
 
 
+def common_mean(omega_z, omega_y):
+    """The Erlang mean of tied means: their midpoint, the same for either
+    order, and their common value where they are equal (below 2**1023)."""
+    return 0.5 * (omega_z + omega_y)
+
+
 def hypoexp_pdf(w: float, params: HypoexpParams) -> float:
     """Density of the sum of the two exponentials at w >= 0."""
     if w < 0.0 or not math.isfinite(w):
         raise DomainError(f"hypoexponential support is [0, inf), got {w!r}")
     oz, oy = params.omega_z, params.omega_y
     if params.equal_means:
-        return (w / (oz * oz)) * math.exp(-w / oz)
+        omega = common_mean(oz, oy)
+        return (w / (omega * omega)) * math.exp(-w / omega)
     return (math.exp(-w / oz) - math.exp(-w / oy)) / (oz - oy)
 
 
@@ -115,7 +122,8 @@ def means_cdf(w: float, omega_z: float, omega_y: float) -> float:
     if oy != oy:
         return exponential_cdf(w, oz)
     if tied_means(POINT, oz, oy):
-        return exponential_cdf(w, oz) - (w / oz) * math.exp(-w / oz)
+        omega = common_mean(oz, oy)
+        return exponential_cdf(w, omega) - (w / omega) * math.exp(-w / omega)
     return 1.0 - (oz * math.exp(-w / oz) - oy * math.exp(-w / oy)) / (oz - oy)
 
 
@@ -224,7 +232,7 @@ def _unequal_lambdas(
 def _pair_outage_equal(cells, m, lo, hi, theta, omega_z, omega_y, n, rate):
     """Ramp averaged against the equal-means density (w/omega^2)e^(-w/omega),
     at the midpoint omega of the two means."""
-    omega = 0.5 * (omega_z + omega_y)
+    omega = common_mean(omega_z, omega_y)
     e_lo, e_hi = _exps(cells, (-lo / omega, -hi / omega), (n, rate, omega_z, omega_y))
     tau = hi * hi * e_hi - lo * lo * e_lo - theta * hi * e_hi + theta * lo * e_lo
     xi = hi * e_hi - lo * e_lo + omega * e_hi - omega * e_lo

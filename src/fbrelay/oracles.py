@@ -39,17 +39,16 @@ Rayleigh link: two floats at a point, two columns in a batch.
 
 The true-tail conditional error depends on (n, rate) alone; the fading
 enters only through the density that multiplies it.  So the two true-tail
-entry points share one per-process memo of the first pass: its panels and
-the conditional error at their nodes, keyed by (sqrt(n), rate ln 2, cuts),
-where cuts are the breakpoints from _axis_cuts (a density-scale hint cut
-simply makes another key).  All the links at one (n, rate) of a power-split
-search, a coarse scan or an SNR sweep then lay out and evaluate that pass
-once.  Most integrals converge in their first pass, which is then one
-multiplication by the density, handed to _integrate as evaluated; later
-passes run as without the memo.  The memo keeps the _MEMO_SIZE keys used
-last (about 1 MB of read-only arrays), and a batch fills all the keys it
-lacks in one call; an entry shares that fill's arrays until it is first
-reused.  A value is the same bits with the memo cold or warm.
+entry points share one per-process memo of the first pass: _fill, a
+functools.lru_cache over a batch's distinct keys (sqrt(n), rate ln 2,
+cuts), where cuts are the breakpoints from _axis_cuts (a density-scale
+hint cut simply makes another key).  It holds their panels, node matrix
+and the conditional error at the nodes as read-only arrays, so the links
+of a power-split search, a coarse scan or an SNR sweep that ask for the
+same keys again lay out and evaluate that pass once.  Most integrals
+converge in their first pass, which is then one multiplication by the
+density, handed to _integrate as evaluated; later passes run as without
+the memo.  A value is the same bits with the memo cold or warm.
 linearized_outage_quadrature and the fixed rule do not use it.
 
 Monte Carlo reproducibility contract: the estimate is a pure function of
@@ -66,20 +65,19 @@ defined in ``_estimates``, which does not load scipy, and re-exported here.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import threading
-from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from functools import partial
 
 import numpy as np
 from scipy.special import erfc
 
 from ._cells import INF, POINT, expm1_or_inf
-from ._estimates import (EstimateMethod, ExponentialDensity, OutageEstimate, as_int, check_seed,
-                         check_trials)
-from .closed_form import HypoexpParams, hypoexp_pdf, means_cdf, tied_means
+from ._estimates import (EstimateMethod, ExponentialDensity, OutageEstimate, as_int, check_estimate,
+                         check_seed, check_trials)
+from .closed_form import HypoexpParams, common_mean, hypoexp_pdf, means_cdf, tied_means
 from .errors import ConvergenceError, DomainError, NumericError
 from .finite_blocklength import LN2, SnrValue, check_code, outage_given_snr
 from .linearization import LinearizationParams, RampSlope, ramp_coefficients
@@ -181,28 +179,32 @@ def _erlang_pdf(mean, w: np.ndarray) -> np.ndarray:
     return (w / (mean * mean)) * np.exp(-w / mean)
 
 
-def _hypoexp_pdf_np(big, small, w: np.ndarray) -> np.ndarray:
-    gap = big - small
-    return np.exp(-w / big) * -np.expm1(-w * (gap / (big * small))) / gap
+def _hypoexp_pdf_np(big, gap, decay, w: np.ndarray) -> np.ndarray:
+    return np.exp(-w / big) * -np.expm1(-w * decay) / gap
 
 
 def _pdf(omega_z: float, omega_y: float):
     """(pdf, params): the array twin of ExponentialDensity.pdf and
     hypoexp_pdf for these branch means, as pdf(*params, w) for w >= 0.
 
-    With big > small the two means, the distinct-means density is taken as
-    exp(-w/big) * -expm1(-w * gap/(big*small)) / gap, gap = big - small: the
-    value of hypoexp_pdf's difference of exponentials without its
-    cancellation near w = 0 and near equal means.  That cancellation is
-    rounding noise, which adaptive quadrature would try to resolve by
-    subdivision.  The three formulas take their parameters as scalars or as
-    columns, one row per panel, with the same arithmetic either way.
+    Tied means take the Erlang density at their common_mean, so the two
+    orders of a pair agree.  With big > small the two means, the distinct-means
+    density is taken as exp(-w/big) * -expm1(-w * decay) / gap, gap = big -
+    small and decay = gap/(big*small): the value of hypoexp_pdf's difference
+    of exponentials without its cancellation near w = 0 and near equal
+    means.  That cancellation is rounding noise, which adaptive quadrature
+    would try to resolve by subdivision.  The three formulas take their
+    parameters as scalars or as columns, one row per panel, with the same
+    arithmetic either way; a product big*small that underflows gives decay
+    inf, as numpy's division of a column does.
     """
     if omega_y != omega_y:
         return _exponential_pdf, (omega_z,)
     if tied_means(POINT, omega_z, omega_y):
-        return _erlang_pdf, (omega_z,)
-    return _hypoexp_pdf_np, (max(omega_z, omega_y), min(omega_z, omega_y))
+        return _erlang_pdf, (common_mean(omega_z, omega_y),)
+    big, small = max(omega_z, omega_y), min(omega_z, omega_y)
+    gap, product = big - small, big * small
+    return _hypoexp_pdf_np, (big, gap, gap / product if product else INF)
 
 
 def _check_abs_tol(abs_tol: float) -> float:
@@ -419,85 +421,59 @@ def _axis_cuts(window: "tuple[float, float, float]", omega_z: float,
     return head, cuts
 
 
-#: Most keys the first-pass memo holds.  An entry is at most 3 intervals of
-#: _START_PANELS panels, each 23 doubles (4.4 KB), and most hold 2
-#: intervals, so the memo stays near 1 MB.  An entry of a fill of several
-#: keys starts as slices of the fill's arrays and gets its own copies when
-#: it is first reused.  An entry not yet reused has never moved, so every
-#: key filled after it is still held: the fills such entries keep alive
-#: hold at most _MEMO_SIZE + _CHUNK keys' panels.
-_MEMO_SIZE = 256
-
-_memo: "OrderedDict[tuple, tuple]" = OrderedDict()
-_memo_lock = threading.Lock()
+#: Most key sets the first-pass memo holds; a set is one point call's key
+#: or a chunk's distinct keys, and a hit needs the same keys in the same
+#: order.  A key holds at most 24 panels of 45 numbers (owner, mid, half,
+#: 21 nodes and 21 values), so the memo holds at most 16 * _CHUNK keys,
+#: 4.4 MB.  16 is the fewest sets that keep warm the cycle of 16 point calls
+#: that scripts/convention_report.py runs.
+_MEMO_SIZE = 16
 
 
-def _read_only(*arrays):
-    for array in arrays:
-        array.setflags(write=False)
-    return arrays
-
-
-def _first_pass(keys: "list[tuple]", conditional):
-    """(owner, mid, half, width, nodes, values): _first_panels of a batch
-    of true-tail integrals, the node matrix mid[:, None] + half[:, None] *
-    _GK21_NODES, and the conditional error at those nodes.
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _fill(keys: "tuple[tuple, ...]"):
+    """(owner, mid, half, width, nodes, values), read-only, of a batch of
+    true-tail integrals with distinct keys: _first_panels of their cuts, the
+    node matrix mid[:, None] + half[:, None] * _GK21_NODES, and the
+    conditional error at those nodes, in one call.
 
     Integral j's key is (sqrt(n), rate ln 2, cuts): the numbers the
     conditional error reads and the breakpoints that place the nodes, so
     equal keys give equal bits whatever the density and the numeric types
-    of n and rate.  Each key's entry, read-only mid, half and values arrays
-    and the width, comes from a memo of the _MEMO_SIZE keys used last,
-    shared by the process.  The missing keys are filled together by one
-    _first_panels call and one conditional(owner, x) call, as in a later
-    pass; a fill of keys whose intervals are all empty has no node and
-    makes no call.  mid and half may be the memo's read-only arrays, and so
-    may values in a batch of one; nodes is a fresh array.  The call keeps
-    the entries it found or filled, so no eviction, by its own fill or
-    another thread's, can take them from it.
+    of n and rate.  A fill whose intervals are all empty has no node and
+    evaluates nothing.
     """
-    with _memo_lock:
-        entries = list(map(_memo.get, keys))
-        for key, found in zip(keys, entries):
-            if found is not None:
-                _memo.move_to_end(key)
-                if found[2].base is not None:  # first reuse: stop keeping its fill alive
-                    _memo[key] = (*_read_only(*(array.copy() for array in found[:3])), found[3])
-    missing = {}  # key -> the first integral with it
-    for j, (key, found) in enumerate(zip(keys, entries)):
-        if found is None:
-            missing.setdefault(key, j)
-    if missing:
-        owner, mid, half, width = _first_panels([key[2] for key in missing])
-        x = mid[:, None] + half[:, None] * _GK21_NODES
-        if not owner.size:  # no node to evaluate
-            values = x
-        elif len(missing) == len(keys):
-            values = conditional(owner, x)
-        else:
-            values = conditional(np.array(list(missing.values()))[owner], x)
-        kept = _read_only(mid, half, values.copy())
-        if len(missing) == 1:
-            filled = [(*kept, width[0])]
-        else:
-            ends = np.cumsum(np.bincount(owner, minlength=len(missing))).tolist()
-            filled = [(*(array[start:end] for array in kept), w)
-                      for start, end, w in zip([0] + ends, ends, width)]
-        with _memo_lock:
-            _memo.update(zip(missing, filled))
-            for _ in range(len(_memo) - _MEMO_SIZE):
-                _memo.popitem(last=False)
-        if len(missing) == len(keys):  # the fill is the whole batch
-            return owner, mid, half, width, x, values
-        filled = dict(zip(missing, filled))
-        entries = [filled[key] if found is None else found for key, found in zip(keys, entries)]
-    mid, half, values, width = zip(*entries)
-    if len(entries) == 1:
-        owner, (mid,), (half,), (values,) = np.zeros(mid[0].size, np.intp), mid, half, values
+    owner, mid, half, width = _first_panels([key[2] for key in keys])
+    nodes = mid[:, None] + half[:, None] * _GK21_NODES
+    if not owner.size:
+        values = nodes
+    elif len(keys) == 1:
+        values = _conditional_outage_np(*keys[0][:2], nodes)
     else:
-        owner = np.arange(len(keys)).repeat([len(part) for part in mid])
-        mid, half, values = np.concatenate(mid), np.concatenate(half), np.concatenate(values)
-    return owner, mid, half, list(width), mid[:, None] + half[:, None] * _GK21_NODES, values
+        columns = np.array([key[:2] for key in keys])[owner]
+        values = _conditional_outage_np(columns[:, :1], columns[:, 1:], nodes)
+    for array in (owner, mid, half, nodes, values):
+        array.setflags(write=False)
+    return owner, mid, half, tuple(width), nodes, values
+
+
+def _first_pass(keys: "list[tuple]"):
+    """_fill's arrays for a batch whose keys may repeat: the fill of its
+    distinct keys as it is when none repeats, else with each integral
+    given its key's rows."""
+    distinct: "dict[tuple, int]" = {}
+    which = [distinct.setdefault(key, len(distinct)) for key in keys]
+    fill = _fill(tuple(distinct))
+    if len(distinct) == len(keys):
+        return fill
+    owner, mid, half, width, nodes, values = fill
+    sizes = np.bincount(owner, minlength=len(distinct))
+    counts = sizes[which]
+    owner = np.arange(len(keys)).repeat(counts)
+    # integral j's rows are its key's rows, shifted from where j's start
+    shift = (np.cumsum(sizes) - sizes)[which] - (np.cumsum(counts) - counts)
+    rows = np.arange(owner.size) + shift[owner]
+    return owner, mid[rows], half[rows], [width[i] for i in which], nodes[rows], values[rows]
 
 
 def fading_outage_quadrature(
@@ -516,12 +492,11 @@ def fading_outage_quadrature(
     omega_z, omega_y = _as_density(channel)
     head, cuts = _axis_cuts(_transition_window(POINT, n, rate), omega_z, omega_y)
     pdf, params = _pdf(omega_z, omega_y)
-    owner, mid, half, width, w, values = _first_pass(
-        [(_sqrt_n(n), rate * LN2, tuple(cuts))],
-        lambda _owner, w: _conditional_outage_np(n, rate, w))
+    sqrt_n, rate_ln2 = _sqrt_n(n), rate * LN2
+    owner, mid, half, width, w, values = _fill(((sqrt_n, rate_ln2, tuple(cuts)),))
     first = owner, mid, half, width, values * pdf(*params, w)
     value = head + _integrate_one(
-        lambda _owner, w: _conditional_outage_np(n, rate, w) * pdf(*params, w),
+        lambda _owner, w: _conditional_outage_np(sqrt_n, rate_ln2, w) * pdf(*params, w),
         cuts, abs_tol, first)
     value = min(max(value, 0.0), 1.0)  # round-off at the saturated ends
     return OutageEstimate(value=value, method=EstimateMethod.QUAD_TRUE_Q)
@@ -556,6 +531,7 @@ def true_tail_outages(cells, n, rate, omega_z, omega_y=None, abs_tol: float = 1e
         for i, cut in zip(chunk[status != _CONVERGED].tolist(), failed):
             failed_cuts[i] = cut
     _check_converged(cells, outcome, failed_cuts, abs_tol)
+    check_estimate(cells, value)  # a NaN head, as OutageEstimate refuses it at a point
     return value
 
 
@@ -566,9 +542,10 @@ def _true_tail_chunk(cells, n, rate, z, y, window, abs_tol):
     heads, cuts = zip(*map(_axis_cuts, windows, z.tolist(), y.tolist()))
     single = y != y
     equal = tied_means(cells, z, y)
+    big, small = np.maximum(z, y), np.minimum(z, y)
     kinds = ((single, _exponential_pdf, (z,)),
-             (equal, _erlang_pdf, (z,)),
-             (~single & ~equal, _hypoexp_pdf_np, (np.maximum(z, y), np.minimum(z, y))))
+             (equal, _erlang_pdf, (common_mean(z, y),)),
+             (~single & ~equal, _hypoexp_pdf_np, (big, big - small, (big - small) / (big * small))))
 
     def weigh(owner: np.ndarray, w: np.ndarray, values: np.ndarray) -> np.ndarray:
         for rows, pdf, params in kinds:
@@ -576,14 +553,18 @@ def _true_tail_chunk(cells, n, rate, z, y, window, abs_tol):
             if rows.all():
                 return values * pdf(*(p[owner][:, None] for p in params), w)
             if rows.any():
+                if not values.flags.writeable:  # the memo's array
+                    values = values.copy()
                 values[rows] *= pdf(*(p[owner[rows]][:, None] for p in params), w[rows])
         return values
 
+    sqrt_n, rate_ln2 = _sqrt_n(n), rate * LN2
+
     def conditional(owner: np.ndarray, w: np.ndarray) -> np.ndarray:
-        return _conditional_outage_np(n[owner][:, None], rate[owner][:, None], w)
+        return _conditional_outage_np(sqrt_n[owner][:, None], rate_ln2[owner][:, None], w)
 
     owner, mid, half, width, w, values = _first_pass(
-        list(zip(_sqrt_n(n).tolist(), (rate * LN2).tolist(), map(tuple, cuts))), conditional)
+        list(zip(sqrt_n.tolist(), rate_ln2.tolist(), map(tuple, cuts))))
     first = owner, mid, half, width, weigh(owner, w, values)
     totals, status = _integrate(lambda owner, w: weigh(owner, w, conditional(owner, w)), cuts,
                                 abs_tol, first)
@@ -608,7 +589,7 @@ def fading_outage_quadrature_fixed(n: int, rate: float, channel) -> float:
     if omega_y != omega_y:
         pdf = ExponentialDensity(omega_z).pdf
     else:
-        pdf = partial(hypoexp_pdf, params=HypoexpParams(omega_z, omega_y))
+        pdf = functools.partial(hypoexp_pdf, params=HypoexpParams(omega_z, omega_y))
         rise = 50.0 * min(omega_z, omega_y)
         if cuts[0] < rise < cuts[-1]:
             cuts = sorted(cuts + [rise])
@@ -666,25 +647,28 @@ def _sqrt_n(n):
     return math.sqrt(n) if isinstance(n, int) else np.sqrt(n)
 
 
-def _q_argument(n: int, rate: float, w: np.ndarray) -> np.ndarray:
-    return _sqrt_n(n) * (np.log1p(w) - rate * LN2) * (1.0 + w) / np.sqrt(w * (2.0 + w))
+def _q_argument(sqrt_n, rate_ln2, w: np.ndarray) -> np.ndarray:
+    return sqrt_n * (np.log1p(w) - rate_ln2) * (1.0 + w) / np.sqrt(w * (2.0 + w))
 
 
-def _conditional_outage_np(n: int, rate: float, w: np.ndarray) -> np.ndarray:
-    """Vectorized conditional error probability at instantaneous SNR w > 0.
+def _conditional_outage_np(sqrt_n, rate_ln2, w: np.ndarray) -> np.ndarray:
+    """Vectorized conditional error probability at instantaneous SNR w > 0,
+    for a code with _sqrt_n(n) = sqrt_n and rate * LN2 = rate_ln2, as
+    scalars or as columns, one row per row of w.
 
     Where w * (2 + w) overflows (w above about 1.3e154), the factor
     (1 + w) / sqrt(w (2 + w)) is taken as (1 + w) / (sqrt(w) sqrt(2 + w)).
     """
     if np.maximum.reduce(w, axis=None) <= 1e154:  # no w * (2 + w) can overflow
-        return 0.5 * erfc(_q_argument(n, rate, w) / math.sqrt(2.0))
+        return 0.5 * erfc(_q_argument(sqrt_n, rate_ln2, w) / math.sqrt(2.0))
     with np.errstate(over="ignore", invalid="ignore"):
-        arg = _q_argument(n, rate, w)
+        arg = _q_argument(sqrt_n, rate_ln2, w)
         huge = np.isinf(w * (2.0 + w))
         big = w[huge]
-        if np.ndim(n):  # one row of parameters per row of w
-            n, rate = np.broadcast_to(n, w.shape)[huge], np.broadcast_to(rate, w.shape)[huge]
-        arg[huge] = _sqrt_n(n) * (np.log1p(big) - rate * LN2) * (
+        if np.ndim(sqrt_n):  # one row of parameters per row of w
+            sqrt_n = np.broadcast_to(sqrt_n, w.shape)[huge]
+            rate_ln2 = np.broadcast_to(rate_ln2, w.shape)[huge]
+        arg[huge] = sqrt_n * (np.log1p(big) - rate_ln2) * (
             (1.0 + big) / (np.sqrt(big) * np.sqrt(2.0 + big)))
     return 0.5 * erfc(arg / math.sqrt(2.0))
 
@@ -726,10 +710,9 @@ def _pool_map(fn, count: int, workers: int):
 
 def _forget_pool() -> None:
     """In a forked child: the parent's worker threads do not exist there,
-    and a lock one of them held would stay held.  The memo's rows stay."""
-    global _pool_lock, _pool, _pool_size, _memo_lock
+    and a lock one of them held would stay held."""
+    global _pool_lock, _pool, _pool_size
     _pool_lock, _pool, _pool_size = threading.Lock(), None, 0
-    _memo_lock = threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):
@@ -761,6 +744,7 @@ def fading_outage_mc(
         raise DomainError(f"partitions must be >= 1, got {partitions!r}")
     check_code(POINT, n, rate)
     omega_z, omega_y = _as_density(channel)
+    sqrt_n, rate_ln2 = _sqrt_n(n), rate * LN2
 
     base, extra = divmod(trials, partitions)
     chunk_sizes = [base + (1 if i < extra else 0) for i in range(partitions)]
@@ -774,7 +758,7 @@ def fading_outage_mc(
         w = gen.exponential(omega_z, size=size)
         if omega_y == omega_y:  # the combined link: the sum of the two branch draws
             w = w + gen.exponential(omega_y, size=size)
-        values = _conditional_outage_np(n, rate, w)
+        values = _conditional_outage_np(sqrt_n, rate_ln2, w)
         if bernoulli:
             values = (gen.random(size) < values).astype(float)
         return float(np.sum(values)), float(np.dot(values, values))

@@ -7,6 +7,7 @@ a fixed-order partition combine that makes the worker count irrelevant.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import select
@@ -26,6 +27,7 @@ from fbrelay import (
     DomainError,
     EstimateMethod,
     ExponentialDensity,
+    FbrelayError,
     HypoexpParams,
     NumericError,
     OutageEstimate,
@@ -47,6 +49,7 @@ from fbrelay import (
 from fbrelay import oracles, protocols
 from fbrelay._cells import POINT, Grid
 from fbrelay.oracles import (
+    LN2,
     MAX_WORKERS_ENV,
     _CAPPED,
     _CHUNK,
@@ -61,6 +64,7 @@ from fbrelay.oracles import (
     _integrate_one,
     _pdf,
     _q_argument,
+    _sqrt_n,
     _sum_in_order,
     true_tail_outages,
 )
@@ -242,7 +246,7 @@ class TestGridOracle:
                 check(density)
 
             monkeypatch.setattr(kind, "__post_init__", spy)
-        _clear_memo()
+        oracles._fill.cache_clear()
         for _ in range(2):  # cold, then warm
             _batch(_MEMO_EXAMPLE)
         assert built == []
@@ -267,11 +271,6 @@ def _tie_edges(z):
     return pairs
 
 
-def _clear_memo() -> None:
-    with oracles._memo_lock:
-        oracles._memo.clear()
-
-
 def _batch(cells):
     """true_tail_outages over cells (n, rate, z, y): each value's hex, or
     its failure as (type, message)."""
@@ -283,9 +282,23 @@ def _batch(cells):
             else (type(grid.failures[i]), str(grid.failures[i])) for i in range(len(cells))]
 
 
-def _entry_bytes(entry):
-    *arrays, width = entry
-    return [array.tobytes() for array in arrays], width.hex()
+def _fill_bytes(fill):
+    *arrays, width, nodes, values = fill
+    return [array.tobytes() for array in (*arrays, nodes, values)], [w.hex() for w in width]
+
+
+def _recording_memo(monkeypatch, bound):
+    """Replace the memo with a fresh one of this bound around a _fill that
+    records each set it fills and what it returned."""
+    filled, cold = [], oracles._fill.__wrapped__
+
+    def fill(keys):
+        result = cold(keys)
+        filled.append((keys, result))
+        return result
+
+    monkeypatch.setattr(oracles, "_fill", functools.lru_cache(bound)(fill))
+    return filled
 
 
 _MEANS = st.floats(1e-2, 1e4)
@@ -314,13 +327,13 @@ _MEMO_EXAMPLE = [(500, 0.5, 10.0, math.nan), (500, 0.5, 10.0, 10.0), (500, 0.5, 
 
 
 class TestFirstPassMemo:
-    """The true-tail oracle memoizes its first pass's panels and the
-    conditional error at their nodes per (sqrt(n), rate ln 2, cuts); no
-    value or failure depends on what the memo holds."""
+    """The true-tail oracle memoizes its first pass's panels, nodes and the
+    conditional error at the nodes per set of distinct keys (sqrt(n), rate
+    ln 2, cuts); no value or failure depends on what the memo holds."""
 
     @pytest.fixture(autouse=True)
     def cold(self):
-        _clear_memo()
+        oracles._fill.cache_clear()
 
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(st.lists(_MEMO_CELLS, min_size=1, max_size=6))
@@ -328,13 +341,13 @@ class TestFirstPassMemo:
     def test_cold_and_warm_give_the_same_bits(self, cells):
         cold_points = []
         for cell in cells:
-            _clear_memo()
+            oracles._fill.cache_clear()
             cold_points.append(TestGridOracle.point(*cell))
-        _clear_memo()
+        oracles._fill.cache_clear()
         assert _batch(cells) == cold_points  # a cold batch
         assert [TestGridOracle.point(*cell) for cell in cells] == cold_points  # warmed by it
         assert _batch(cells) == cold_points  # warm
-        _clear_memo()
+        oracles._fill.cache_clear()
         assert [TestGridOracle.point(*cell) for cell in cells] == cold_points  # warmed in turn
         assert [TestGridOracle.point(*cell) for cell in cells[::-1]] == cold_points[::-1]
 
@@ -366,10 +379,10 @@ class TestFirstPassMemo:
                     else (type(failures[i]), str(failures[i])) for i in range(len(etas))]
 
         for protocol in ("df", "mrc"):
-            _clear_memo()
+            oracles._fill.cache_clear()
             cold = points()
             assert batch() == cold and points() == cold
-            _clear_memo()
+            oracles._fill.cache_clear()
             assert batch() == cold and points() == cold
 
     def test_the_example_has_hint_cuts_and_nodes_past_the_product_overflow(self):
@@ -378,64 +391,63 @@ class TestFirstPassMemo:
         assert [len(c) for c in cuts] == [3, 3, 3, 4, 4, 4]  # the last three hinted
         assert cuts[-1][-1] > 1e154
 
-    def test_a_batch_of_cached_and_missing_keys_equals_each_cell(self, monkeypatch):
+    def test_a_batch_of_cached_and_missing_keys_equals_each_cell(self):
         # mixed framing, and SNRs down to where every cell's cuts differ
         base = TopologyConfig(total_snr=SnrValue(10.0), eta=0.5, n_s=300, n_r=500, k=200)
         snrs = [10.0 ** (e / 2.0) for e in range(-12, 3)]
         for snr in snrs[::2]:  # half the cells' keys go into the memo first
             protocol_outage("mrc", TopologyConfig(total_snr=SnrValue(snr), eta=0.5, n_s=300,
                                                   n_r=500, k=200), Backend.quadrature())
-        hits = []
-        first_pass = oracles._first_pass
-
-        def spy(keys, conditional):
-            hits.extend(key in oracles._memo for key in keys)
-            return first_pass(keys, conditional)
-
-        monkeypatch.setattr(oracles, "_first_pass", spy)
         cells = protocols.TopologyCells(base, total_snr=snrs)
         outage, _, failures = protocols.outages("mrc", cells, Backend.quadrature())
-        assert any(hits) and not all(hits)
         for i, snr in enumerate(snrs):
             cfg = TopologyConfig(total_snr=SnrValue(snr), eta=0.5, n_s=300, n_r=500, k=200)
             assert i not in failures
             point = protocol_outage("mrc", cfg, Backend.quadrature())
             assert outage[i].item().hex() == point.value.hex()
 
-    def test_missing_keys_fill_in_one_call(self):
+    def test_missing_keys_fill_in_one_call(self, monkeypatch):
         cuts = [[0.0, 1.0, 3.0], [0.0, 0.5, 2.0, 9.0], [0.0, 1.0, 3.0], [0.2, 0.2, 4.0]]
         n, rate = np.array([500, 200, 500, 100]), np.array([0.5, 0.25, 0.5, 1.0])
         keys = list(zip(np.sqrt(n).tolist(), (rate * oracles.LN2).tolist(), map(tuple, cuts)))
         calls = []
 
-        def conditional(owner, w):
-            calls.append(owner)
-            return _conditional_outage_np(n[owner][:, None], rate[owner][:, None], w)
+        def spy(sqrt_n, rate_ln2, w):
+            calls.append(sqrt_n)
+            return _conditional_outage_np(sqrt_n, rate_ln2, w)
 
-        oracles._first_pass(keys[1:2], lambda owner, w: conditional(owner + 1, w))
-        calls.clear()
-        *panels, nodes, values = oracles._first_pass(keys, conditional)  # key 1 is cached
-        (owner,) = calls  # one call, for keys 0 and 3: key 2 is key 0
-        assert sorted(set(owner.tolist())) == [0, 3]
-        want = oracles._first_panels(cuts)
-        whole, mid, half, width = want
-        assert [a.tobytes() for a in panels[:3]] == [a.tobytes() for a in want[:3]]
-        assert panels[3] == width
+        monkeypatch.setattr(oracles, "_conditional_outage_np", spy)
+        owner, *panels, nodes, values = oracles._first_pass(keys)
+        (sqrt_n,) = calls  # one call, for keys 0, 1 and 3: key 2 is key 0
+        assert sorted(set(sqrt_n.ravel().tolist())) == sorted(np.sqrt([500, 200, 100]).tolist())
+        whole, mid, half, width = oracles._first_panels(cuts)
+        assert [a.tobytes() for a in (owner, *panels[:2])] == [a.tobytes() for a in (whole, mid, half)]
+        assert panels[2] == width
         assert nodes.tobytes() == (mid[:, None] + half[:, None] * _GK21_NODES).tobytes()
-        want = _conditional_outage_np(n[whole][:, None], rate[whole][:, None],
-                                      mid[:, None] + half[:, None] * _GK21_NODES)
-        assert values.tobytes() == want.tobytes() and values.flags.writeable
-        assert len(oracles._memo) == 3
+        want = _conditional_outage_np(np.sqrt(n)[whole][:, None],
+                                      (rate * oracles.LN2)[whole][:, None], nodes)
+        assert values.tobytes() == want.tobytes()
+        calls.clear()
+        again = oracles._first_pass(keys)
+        assert calls == [] and _fill_bytes(again) == _fill_bytes((owner, *panels, nodes, values))
+        assert oracles._fill.cache_info().currsize == 1
 
     def test_memo_arrays_are_read_only(self):
         fading_outage_quadrature(500, 0.5, 10.0)
-        _batch([(200, 0.25, 3.0, math.nan), (300, 0.5, 2.0, 5.0)])
-        assert len(oracles._memo) == 3
-        for *arrays, _width in oracles._memo.values():
-            for array in arrays:
+        cells = [(200, 0.25, 3.0, math.nan), (300, 0.5, 2.0, 5.0)]
+        _batch(cells)
+        assert oracles._fill.cache_info().currsize == 2
+        keys = []
+        for n, rate, z, y in cells:
+            cuts = oracles._axis_cuts(oracles._transition_window(POINT, n, rate), z, y)[1]
+            keys.append((math.sqrt(n), rate * oracles.LN2, tuple(cuts)))
+        for fill in (oracles._first_pass(keys), oracles._first_pass(keys[:1])):
+            *arrays, width, nodes, values = fill
+            for array in (*arrays, nodes, values):
                 assert not array.flags.writeable
                 with pytest.raises(ValueError):
                     array[0] = 0.5
+        assert oracles._fill.cache_info().hits == 1  # the second set was the point call's
 
     def test_an_integral_with_no_interval_is_its_head(self):
         # past n R of about 1e35 the ±42 sigma window is under half an ulp
@@ -445,68 +457,67 @@ class TestFirstPassMemo:
         assert cuts[0] == cuts[-1] and head > 0.0
         for _ in range(2):  # cold, then warm
             assert fading_outage_quadrature(10**40, 0.5, 10.0).value == head
-        _clear_memo()
+        oracles._fill.cache_clear()
         hollow, full = (1e40, 0.5, 10.0, math.nan), (500.0, 0.5, 10.0, math.nan)
         for _ in range(2):
             assert _batch([hollow]) == [head.hex()]
-        _clear_memo()
+        oracles._fill.cache_clear()
         want = [head.hex(), TestGridOracle.point(*full)]
         for _ in range(2):
             assert _batch([hollow, full]) == want
 
-    def test_an_entry_gets_its_own_rows_when_first_reused(self, monkeypatch):
-        monkeypatch.setattr(oracles, "_MEMO_SIZE", 6)
-        cells = [(n, 0.5, 10.0, math.nan) for n in (100, 200, 300, 400)]
+    def test_keys_repeating_apart_equal_point_calls(self):
+        a, b, c = (500, 0.5, 10.0, math.nan), (300, 0.25, 4.0, 4.0), (700, 0.5, 10.0, 2.5)
+        cells = [a, b, (500, 0.5, 3.0, math.nan), c, (300, 0.25, 4.0, 1.0)]  # keys A B A C B
+        keys = [(math.sqrt(n), rate * oracles.LN2, tuple(oracles._axis_cuts(
+            oracles._transition_window(POINT, n, rate), z, y)[1])) for n, rate, z, y in cells]
+        assert keys[0] == keys[2] and keys[1] == keys[4] and len(set(keys)) == 3
+        want = [TestGridOracle.point(*cell) for cell in cells]
+        oracles._fill.cache_clear()
+        for _ in range(2):  # cold, then warm
+            assert _batch(cells) == want
+        assert oracles._fill.cache_info().hits == 1
+
+    def test_a_warm_batch_leaves_the_memo_arrays_as_they_were(self, monkeypatch):
+        filled = _recording_memo(monkeypatch, oracles._MEMO_SIZE)
+        # distinct keys, one cell each: single links, tied pairs and distinct pairs
+        cells = [(n, 0.5, z, y) for n, (z, y) in zip(
+            (100, 200, 300, 400, 500, 600),
+            ((10.0, math.nan), (10.0, 10.0), (10.0, 2.5), (3.0, 3.0 * (1.0 + 1e-10)),
+             (1e-4, math.nan), (20.0, 4.0)))]
         want = _batch(cells)
-        fills = [values.base for _mid, _half, values, _width in oracles._memo.values()]
-        assert fills[0] is not None and all(fill is fills[0] for fill in fills)  # one fill
-        assert TestGridOracle.point(*cells[1]) == want[1]  # the first reuse of one key
-        own = [[array.base is None for array in entry[:3]] for entry in oracles._memo.values()]
-        assert own == [[False] * 3] * 3 + [[True] * 3]  # moved to the end, with its own copies
-        # entries never reused keep their fill alive only while every key
-        # filled after them is still held: at most 6 own copies and the
-        # fills of 6 + 5 keys, each key at most 3 intervals of panels
-        for step in range(1, 40):
-            _batch([(100 + 7 * step + i, 0.5, 10.0, math.nan) for i in range(step % 5 + 1)])
-            if step % 3 == 0:
-                _batch(cells[:2])
-            kept = {}
-            for *arrays, _width in oracles._memo.values():
-                assert not any(array.flags.writeable for array in arrays)
-                values = arrays[2] if arrays[2].base is None else arrays[2].base
-                kept[id(values)] = values
-            assert len(oracles._memo) <= 6
-            assert sum(len(values) for values in kept.values()) <= \
-                (6 + 6 + 5) * 3 * oracles._START_PANELS
+        ((keys, fill),) = filled
+        assert len(keys) == len(cells)
+        before = _fill_bytes(fill)
+        assert _batch(cells) == want
+        assert len(filled) == 1 and oracles._fill.cache_info().hits == 1
+        assert _fill_bytes(fill) == before
 
     @pytest.mark.parametrize("bound", [3, None])
     def test_the_bound_holds_past_a_sweep_of_more_distinct_n(self, monkeypatch, bound):
-        # with a bound of 3, the sweep's first batch of 32 distinct keys
-        # evicts its own rows before its first pass has read them all
-        if bound is not None:
-            monkeypatch.setattr(oracles, "_MEMO_SIZE", bound)
-        size = oracles._MEMO_SIZE
-        ns = list(range(100, 100 + 5 * (size + 37), 5))
+        # a blocklength sweep fills one key set per chunk of _CHUNK n
+        size = oracles._MEMO_SIZE if bound is None else bound
+        _recording_memo(monkeypatch, size)
+        ns = list(range(100, 100 + 5 * _CHUNK * (size + 3), 5))
         cfg = TopologyConfig(total_snr=SnrValue(10.0), eta=0.5, n_s=100, n_r=100, k=40)
         rows = sweep("dt", cfg, "blocklength", ns, Backend.quadrature())
-        assert len(oracles._memo) == size
-        for n, row in list(zip(ns, rows))[::7]:
+        info = oracles._fill.cache_info()
+        assert info.misses >= size + 3 and info.currsize == info.maxsize == size
+        for n, row in list(zip(ns, rows))[::7 * size + 1]:
             point = protocol_outage("dt", TopologyConfig(total_snr=SnrValue(10.0), eta=0.5, n_s=n,
                                                          n_r=n, k=40), Backend.quadrature())
             assert row.outage.hex() == point.value.hex()
-            assert len(oracles._memo) <= size
+            assert oracles._fill.cache_info().currsize <= size
 
     @pytest.mark.parametrize("bound", [4, None])
     def test_threads_filling_at_once_get_equal_values(self, monkeypatch, bound):
         # more threads than cores, a short switch interval, and with a bound
-        # of 4 the threads evict each other's rows as they fill
+        # of 4 the threads evict each other's sets as they fill
         cells = [(n, k / n, z, y) for n in (100, 300, 900) for k in (30, 90)
                  for z, y in ((3.0, math.nan), (20.0, 4.0), (1e-4, math.nan))]
         want = _batch(cells) + [TestGridOracle.point(*cell) for cell in cells]
-        want_rows = {key: _entry_bytes(entry) for key, entry in oracles._memo.items()}
-        if bound is not None:
-            monkeypatch.setattr(oracles, "_MEMO_SIZE", bound)
-        _clear_memo()
+        cold = oracles._fill.__wrapped__
+        filled = _recording_memo(monkeypatch, oracles._MEMO_SIZE if bound is None else bound)
         start, got = threading.Barrier(4), []
 
         def run():
@@ -526,9 +537,84 @@ class TestFirstPassMemo:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert got == [want] * 12
-        assert len(oracles._memo) <= oracles._MEMO_SIZE
-        assert {key: _entry_bytes(entry) for key, entry in oracles._memo.items()}.items() <= \
-            want_rows.items()
+        assert oracles._fill.cache_info().currsize <= oracles._fill.cache_info().maxsize
+        assert filled
+        for keys, fill in filled:  # every set the memo took is the cold fill
+            assert _fill_bytes(fill) == _fill_bytes(cold(keys))
+
+
+def _outcome(n, rate, z, y):
+    """fading_outage_quadrature at a cell: its value's hex, which must lie
+    in [0, 1], or its failure as (type, message), which must be an
+    FbrelayError."""
+    try:
+        value = fading_outage_quadrature(n, rate, z if math.isnan(y) else HypoexpParams(z, y)).value
+    except FbrelayError as exc:
+        return type(exc), str(exc)
+    assert 0.0 <= value <= 1.0
+    return value.hex()
+
+
+_ANY_MEAN = st.one_of(st.sampled_from([1e-300, 3e-294, 1e300]),
+                     st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e))
+
+#: (z, y) over 10^±300: one link, equal means, pairs inside the tie band,
+#: any pair, and pairs whose product underflows.
+_ANY_MEANS = st.one_of(
+    st.builds(lambda z: (z, math.nan), _ANY_MEAN),
+    st.builds(lambda z: (z, z), _ANY_MEAN),
+    st.builds(lambda z, t: (z, z * (1.0 + t)), _ANY_MEAN, st.floats(-TIE_TOLERANCE, TIE_TOLERANCE)),
+    st.tuples(_ANY_MEAN, _ANY_MEAN),
+    st.tuples(*[st.floats(-300.0, -154.0).map(lambda e: 10.0 ** e)] * 2),
+)
+_ANY_RATE = st.one_of(st.sampled_from([0.5, 64.0, 510.0, 600.0]),
+                      st.floats(-6.0, math.log10(600.0)).map(lambda e: 10.0 ** e))
+
+#: Cells found to break the point/batch agreement or the order of the means.
+_RANGE_EXAMPLES = [
+    (500.0, 0.5, 2.4641564391096757e-279, 1.3509889490117885e-51),  # big * small underflows
+    (1e30, 0.02, 1.3977699271563728e-199, 1.970061595708329e-261),
+    (1e300, 64.0, 2.938586904098445e-294, 2.9385869041013838e-294),  # a NaN head
+    (500.0, 0.5, 10.0, 10.0 * (1.0 + 0.9e-9)),  # inside the tie band
+]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestWholeInputRange:
+    """Over n from 1 to 1e300, R from 1e-6 to 600 and means over 10^±300,
+    a point call is a value in [0, 1] or an FbrelayError, which a one-cell
+    batch and a cell of a larger batch give too, cold and warm, and which
+    does not depend on the order of the two means."""
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(st.lists(st.builds(lambda n, rate, means: (n, rate, *means),
+                              st.one_of(st.sampled_from([1.0, 500.0, 1e300]),
+                                        st.floats(0.0, 300.0).map(lambda e: 10.0 ** e)), _ANY_RATE,
+                              _ANY_MEANS), min_size=1, max_size=5))
+    @example(_RANGE_EXAMPLES)
+    def test_points_and_batches_agree(self, cells):
+        want = []
+        for n, rate, z, y in cells:
+            oracles._fill.cache_clear()
+            cold = _outcome(n, rate, z, y)
+            assert _outcome(n, rate, z, y) == cold  # warm
+            assert _batch([(n, rate, z, y)]) == [cold]
+            if not math.isnan(y):
+                assert _outcome(n, rate, y, z) == cold
+            want.append(cold)
+        oracles._fill.cache_clear()
+        for _ in range(2):  # cold, then warm
+            assert _batch(cells) == want
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(st.integers(1, 2 ** 1023), _ANY_RATE, _ANY_MEANS)
+    def test_integer_blocklengths_at_a_point(self, n, rate, means):
+        z, y = means
+        oracles._fill.cache_clear()
+        cold = _outcome(n, rate, z, y)
+        assert _outcome(n, rate, z, y) == cold
+        if not math.isnan(y):
+            assert _outcome(n, rate, y, z) == cold
 
 
 class TestArrayIntegrand:
@@ -540,7 +626,7 @@ class TestArrayIntegrand:
     def test_conditional_error_matches_outage_given_snr(self):
         for n in BLOCKLENGTHS:
             for rate in RATES:
-                array = _conditional_outage_np(n, rate, self.W)
+                array = _conditional_outage_np(_sqrt_n(n), rate * LN2, self.W)
                 scalar = np.array([outage_given_snr(n, rate, w) for w in self.W])
                 # both saturated ends are on the grid and agree exactly
                 assert array[0] == scalar[0] == 1.0 and array[-1] == scalar[-1] == 0.0
@@ -891,7 +977,7 @@ class TestHugeBlocklength:
         for n in ns:
             want = np.sqrt(n) * (np.log1p(w) - 0.5 * math.log(2.0)) * (1.0 + w) / np.sqrt(
                 w * (2.0 + w))
-            assert _q_argument(n, 0.5, w).tobytes() == want.tobytes(), n
+            assert _q_argument(_sqrt_n(n), 0.5 * LN2, w).tobytes() == want.tobytes(), n
 
     def test_past_uint64_both_oracles_run(self):
         # sqrt(2**64 + 7) rounds to sqrt(2**64 - 1) in doubles

@@ -421,10 +421,10 @@ def test_quadrature_batch_past_the_product_overflow_equals_each_cell(monkeypatch
     per_row = []
     conditional = oracles._conditional_outage_np
 
-    def spy(n, rate, w):
-        if np.ndim(n) and np.maximum.reduce(w, axis=None) > 1e154:
-            per_row.append(n.shape)
-        return conditional(n, rate, w)
+    def spy(sqrt_n, rate_ln2, w):
+        if np.ndim(sqrt_n) and np.maximum.reduce(w, axis=None) > 1e154:
+            per_row.append(sqrt_n.shape)
+        return conditional(sqrt_n, rate_ln2, w)
 
     monkeypatch.setattr(oracles, "_conditional_outage_np", spy)
     cells = protocols.TopologyCells(base, n=ns, k=ks, eta=etas)
