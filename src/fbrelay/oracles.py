@@ -543,9 +543,10 @@ def _true_tail_chunk(cells, n, rate, z, y, window, abs_tol):
     single = y != y
     equal = tied_means(cells, z, y)
     big, small = np.maximum(z, y), np.minimum(z, y)
+    gap = big - small
     kinds = ((single, _exponential_pdf, (z,)),
              (equal, _erlang_pdf, (common_mean(z, y),)),
-             (~single & ~equal, _hypoexp_pdf_np, (big, big - small, (big - small) / (big * small))))
+             (~single & ~equal, _hypoexp_pdf_np, (big, gap, gap / (big * small))))
 
     def weigh(owner: np.ndarray, w: np.ndarray, values: np.ndarray) -> np.ndarray:
         for rows, pdf, params in kinds:

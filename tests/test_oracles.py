@@ -433,21 +433,21 @@ class TestFirstPassMemo:
         assert oracles._fill.cache_info().currsize == 1
 
     def test_memo_arrays_are_read_only(self):
-        fading_outage_quadrature(500, 0.5, 10.0)
-        cells = [(200, 0.25, 3.0, math.nan), (300, 0.5, 2.0, 5.0)]
+        point, cells = (500, 0.5, 10.0, math.nan), [(200, 0.25, 3.0, math.nan), (300, 0.5, 2.0, 5.0)]
+        fading_outage_quadrature(*point[:3])
         _batch(cells)
         assert oracles._fill.cache_info().currsize == 2
         keys = []
-        for n, rate, z, y in cells:
+        for n, rate, z, y in [point, *cells]:
             cuts = oracles._axis_cuts(oracles._transition_window(POINT, n, rate), z, y)[1]
             keys.append((math.sqrt(n), rate * oracles.LN2, tuple(cuts)))
-        for fill in (oracles._first_pass(keys), oracles._first_pass(keys[:1])):
+        for fill in (oracles._first_pass(keys[:1]), oracles._first_pass(keys[1:])):
             *arrays, width, nodes, values = fill
             for array in (*arrays, nodes, values):
                 assert not array.flags.writeable
                 with pytest.raises(ValueError):
                     array[0] = 0.5
-        assert oracles._fill.cache_info().hits == 1  # the second set was the point call's
+        assert oracles._fill.cache_info().hits == 2  # both sets came from the memo
 
     def test_an_integral_with_no_interval_is_its_head(self):
         # past n R of about 1e35 the ±42 sigma window is under half an ulp
