@@ -70,10 +70,6 @@ class _Point:
         if mask:
             raise exc_type(template.format(*args))
 
-    @staticmethod
-    def take(obj, name: str):
-        return getattr(obj, name)
-
     def branch(self, cond, if_true, if_false, *args):
         return if_true(self, *args) if cond else if_false(self, *args)
 
@@ -115,10 +111,6 @@ class Grid:
         self.index = np.arange(size) if index is None else index
         self.failures = {} if failures is None else failures
 
-    def _drop(self, i: int, exc: Exception) -> None:
-        self.failures[int(self.index[i])] = exc
-        self.alive[i] = False
-
     def each(self, f, x: np.ndarray) -> np.ndarray:
         out = np.full(self.alive.shape, np.nan)
         live = np.flatnonzero(self.alive)
@@ -128,16 +120,9 @@ class Grid:
 
     def fail(self, mask, exc_type, template, *args) -> None:
         for i in np.flatnonzero(mask & self.alive).tolist():
-            self._drop(i, exc_type(template.format(*(_item(a, i) for a in args))))
-
-    def take(self, obj, name: str):
-        """An attribute of a batch of topologies; when computing it raised,
-        every live cell fails with that exception."""
-        exc = obj.raised.get(name)
-        if exc is not None:
-            for i in np.flatnonzero(self.alive).tolist():
-                self._drop(i, exc)
-        return getattr(obj, name)
+            self.failures[int(self.index[i])] = exc_type(
+                template.format(*(_item(a, i) for a in args)))
+            self.alive[i] = False
 
     def branch(self, cond, if_true, if_false, *args) -> np.ndarray:
         out = np.full(self.alive.shape, np.nan)

@@ -95,12 +95,19 @@ def as_int(value, what: str, template: str = "{} must be integers, got {!r}") ->
 #: The fewest trials a Monte Carlo estimate may use.
 _MIN_TRIALS = 10_000
 
+#: The most trials a Monte Carlo estimate may use.  A call's draws and
+#: conditional errors peak near 2 bytes a trial per worker thread (measured
+#: at 2e7 trials), so at most 3.2 GB with all 16 partitions in flight.
+_MAX_TRIALS = 10 ** 8
+
 
 def check_trials(trials) -> int:
     """The Monte Carlo trials rule, shared by the oracle and its backend."""
     trials = as_int(trials, "trials")
     if trials < _MIN_TRIALS:
         raise DomainError(f"trials must be >= {_MIN_TRIALS}, got {trials!r}")
+    if trials > _MAX_TRIALS:
+        raise DomainError(f"trials must be <= {_MAX_TRIALS}, got {trials!r}")
     return trials
 
 

@@ -67,6 +67,16 @@ _HEAD = CSV_FIELDS.index("n_s")
 _ALL_PROTOCOLS = tuple(p.value for p in ProtocolKind)
 _BACKEND_CHOICES = tuple(b.value for b in BackendKind)
 
+#: The most points a sweep walks.  A closed-form sweep of the four
+#: protocols peaks near 3.7 KB a point and one over two backends near
+#: 7.6 KB (measured at 1e4 and 1e5 points), so about 1 GB at the cap.
+_MAX_POINTS = 100_000
+
+#: The most (n, k) cells a region map holds.  A closed-form map peaks near
+#: 0.44 KB a cell and a quadrature map near 0.74 KB (measured up to 187,347
+#: cells), so about 1.5 GB at the cap.
+_MAX_REGION_CELLS = 2_000_000
+
 #: Parameters that configure output plumbing, not the computation.
 _ECHO_SKIP = frozenset({"as_json", "output"})
 
@@ -331,6 +341,8 @@ def cmd_sweep(ctx: click.Context, **_kw) -> None:
     points = p["points"]
     if points < 1:
         raise click.UsageError(f"--points must be >= 1, got {points}")
+    if points > _MAX_POINTS:
+        raise DomainError(f"--points must be <= {_MAX_POINTS}, got {points}")
     start, stop = float(p["start"]), float(p["stop"])
     if stop < start:
         raise click.UsageError("--stop must not be below --start (values must ascend)")
@@ -420,16 +432,21 @@ def cmd_region(ctx: click.Context, **_kw) -> None:
     _refuse_n_relay(p, "region")
     if p["k_step"] < 1 or p["n_step"] < 1:
         raise click.UsageError("--k-step and --n-step must be >= 1")
-    ks = list(range(p["k_min"], p["k_max"] + 1, p["k_step"]))
-    ns = list(range(p["n_min"], p["n_max"] + 1, p["n_step"]))
+    ks = range(p["k_min"], p["k_max"] + 1, p["k_step"])
+    ns = range(p["n_min"], p["n_max"] + 1, p["n_step"])
     if not ks:
         raise click.UsageError("--k-min/--k-max describe an empty payload grid")
     if not ns:
         raise click.UsageError("--n-min/--n-max describe an empty blocklength grid")
+    # len() of a range raises OverflowError past sys.maxsize; this does not
+    cells = ((ns[-1] - ns[0]) // ns.step + 1) * ((ks[-1] - ks[0]) // ks.step + 1)
+    if cells > _MAX_REGION_CELLS:
+        raise DomainError(f"a region map holds at most {_MAX_REGION_CELLS} (n, k) cells, "
+                          f"got {cells}")
 
     backend = _build_backends(p)[0]
     grid = reliability_region(
-        str(p["protocol"]), SnrValue.from_db(float(p["snr_db"])), ns, ks, backend,
+        str(p["protocol"]), SnrValue.from_db(float(p["snr_db"])), list(ns), list(ks), backend,
         str(p["convention"]),
         eta=float(p["eta"]), beta=float(p["beta"]), path_loss_exp=float(p["alpha"]),
         allow_short=bool(p["allow_short"]),

@@ -104,7 +104,14 @@ def hypoexp_pdf(w: float, params: HypoexpParams) -> float:
     oz, oy = params.omega_z, params.omega_y
     if params.equal_means:
         omega = common_mean(oz, oy)
-        return (w / (omega * omega)) * math.exp(-w / omega)
+        square = omega * omega
+        value = (w / square) * math.exp(-w / omega) if square else INF
+        if value < INF:
+            return value
+        # omega^2 underflowed, or w/omega^2 overflowed (inf, or inf * 0):
+        # the same density as x e^(-x)/omega, whose limit is 0 as x -> inf
+        x = w / omega
+        return x * math.exp(-x) / omega if x < INF else 0.0
     return (math.exp(-w / oz) - math.exp(-w / oy)) / (oz - oy)
 
 
@@ -122,8 +129,9 @@ def means_cdf(w: float, omega_z: float, omega_y: float) -> float:
     if oy != oy:
         return exponential_cdf(w, oz)
     if tied_means(POINT, oz, oy):
-        omega = common_mean(oz, oy)
-        return exponential_cdf(w, omega) - (w / omega) * math.exp(-w / omega)
+        x = w / common_mean(oz, oy)
+        # x e^(-x) -> 0 where x overflows, and the CDF -> 1
+        return -math.expm1(-x) - (x * math.exp(-x) if x < INF else 0.0)
     return 1.0 - (oz * math.exp(-w / oz) - oy * math.exp(-w / oy)) / (oz - oy)
 
 

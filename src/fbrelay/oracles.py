@@ -607,7 +607,9 @@ def fading_outage_quadrature_fixed(n: int, rate: float, channel) -> float:
             for t, w in zip(nodes, weights):
                 x = mid + half * t
                 total += half * w * outage_given_snr(n, rate, x) * pdf(x)
-    return float(min(max(total, 0.0), 1.0))
+    value = float(min(max(total, 0.0), 1.0))
+    check_estimate(POINT, value)  # a NaN total
+    return value
 
 
 def linearized_outage_quadrature(

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._cells import POINT, Grid
+from ._cells import INF, POINT, Grid
 from ._estimates import (
     EstimateMethod,
     ExponentialDensity,
@@ -145,20 +145,22 @@ def _omega_sd(total_snr, eta):
 _GAIN_OVERFLOW = "{}: path-loss gain {!r} ** -{!r} overflows double precision"
 
 
-def _omega_sr(total_snr, eta, beta, alpha):
+def _gain(cells, name, distance, alpha):
+    """distance ** -alpha; where it overflows, the cells fail (see ``_cells``)."""
     try:
-        gain = beta ** -alpha
+        gain = distance ** -alpha
     except OverflowError:
-        raise NumericError(_GAIN_OVERFLOW.format("omega_sr", beta, alpha)) from None
-    return eta * total_snr * gain
+        gain = INF
+    cells.fail(gain == INF, NumericError, _GAIN_OVERFLOW, name, distance, alpha)
+    return gain
 
 
-def _omega_rd(total_snr, eta, beta, alpha):
-    try:
-        gain = (1.0 - beta) ** -alpha
-    except OverflowError:
-        raise NumericError(_GAIN_OVERFLOW.format("omega_rd", 1.0 - beta, alpha)) from None
-    return (1.0 - eta) * total_snr * gain
+def _omega_sr(cells, total_snr, eta, beta, alpha):
+    return eta * total_snr * _gain(cells, "omega_sr", beta, alpha)
+
+
+def _omega_rd(cells, total_snr, eta, beta, alpha):
+    return (1.0 - eta) * total_snr * _gain(cells, "omega_rd", 1.0 - beta, alpha)
 
 
 @dataclass(frozen=True)
@@ -209,11 +211,11 @@ class TopologyConfig:
 
     @property
     def omega_sr(self) -> float:
-        return _omega_sr(self.total_snr.value, self.eta, self.beta, self.path_loss_exp)
+        return _omega_sr(POINT, self.total_snr.value, self.eta, self.beta, self.path_loss_exp)
 
     @property
     def omega_rd(self) -> float:
-        return _omega_rd(self.total_snr.value, self.eta, self.beta, self.path_loss_exp)
+        return _omega_rd(POINT, self.total_snr.value, self.eta, self.beta, self.path_loss_exp)
 
     @property
     def relay_silent(self) -> bool:
@@ -239,11 +241,8 @@ class TopologyCells:
     Each keyword replaces the matching field of ``base`` by an array (``n``
     sets both hop blocklengths); beta and path_loss_exp stay the base's.
     The cells must be valid topologies: nothing is checked here.  The
-    attributes mirror TopologyConfig's: n_s, n_r, rate_s, rate_r,
-    total_snr (linear) and the link SNRs, computed by the same expressions.
-    The path-loss gain in omega_sr and omega_rd can overflow; ``raised``
-    keeps that NumericError under the SNR's name, and every cell fails with
-    it at the step where the per-topology evaluation reads that SNR.
+    attributes mirror TopologyConfig's fields: n_s, n_r, k, rate_s, rate_r,
+    total_snr (linear), eta, beta and path_loss_exp.
     ``big_ints`` says that a blocklength or payload is at or above 2**53,
     where numpy's k / n would round differently from Python's: the integer
     columns then hold Python ints, and the batch is evaluated per cell.
@@ -266,22 +265,12 @@ class TopologyCells:
         self.big_ints = bool(max(c.max() for c in (self.n_s, self.n_r, self.k)) >= _EXACT_INT)
         if self.big_ints:
             self.n_s, self.n_r, self.k = (column(c, object) for c in ints)
-        self.base = base
+        self.base, self.beta, self.path_loss_exp = base, base.beta, base.path_loss_exp
         self.refused = {} if refused is None else refused
         self.total_snr = column(base.total_snr.value if total_snr is None else total_snr, float)
         self.eta = column(base.eta if eta is None else eta, float)
         self.rate_s = self.k / self.n_s
         self.rate_r = self.k / self.n_r
-        self.raised: "dict[str, NumericError]" = {}
-        with np.errstate(over="ignore"):  # a link SNR may overflow to inf, as a float's does
-            self.omega_sd = _omega_sd(self.total_snr, self.eta)
-            for name, omega in (("omega_sr", _omega_sr), ("omega_rd", _omega_rd)):
-                try:
-                    value = omega(self.total_snr, self.eta, base.beta, base.path_loss_exp)
-                except NumericError as exc:
-                    self.raised[name] = exc
-                    value = np.full(self.size, np.nan)
-                setattr(self, name, value)
 
     def points(self):
         """The cells one by one, as topologies with plain Python scalars."""
@@ -469,26 +458,27 @@ def _links(cells, reads: "tuple[str, ...]", t, total_snr, stage) -> dict:
     """The outage of each link named in ``reads``, by name.
 
     ``t`` is one topology (``cells`` is POINT) or a TopologyCells batch
-    (``cells`` is a Grid, and ``stage`` closed).  sd and sr are evaluated
-    in the order of ``reads``, then rd or srd; each link is checked where
-    it is evaluated.  The links at (n_s, rate_s) share one set of rate
-    terms.  Without a relay link (DT) the source has the full budget.  With
-    a silent relay (eta = 1) the forward hop is a certain outage and the
-    combined link is the direct one, by continuity.
+    (``cells`` is a Grid, and ``stage`` closed or quadrature).  sd and sr
+    are evaluated in the order of ``reads``, then rd or srd; each link's
+    SNR and outage are checked where they are evaluated.  The links at
+    (n_s, rate_s) share one set of rate terms.  Without a relay link (DT)
+    the source has the full budget.  With a silent relay (eta = 1) the
+    forward hop is a certain outage and the combined link is the direct
+    one, by continuity.
     """
     n_s, rate_s = t.n_s, t.rate_s
     direct_only = len(reads) == 1
-    omega_sd = total_snr if direct_only else t.omega_sd
+    omega_sd = total_snr if direct_only else _omega_sd(total_snr, t.eta)
     links, terms = {}, None
     for name in reads:
         if name == "sd":
             links[name], terms = stage.link(cells, terms, n_s, rate_s, omega_sd, _STREAM_SD)
         elif name == "sr":
-            omega_sr = cells.take(t, "omega_sr")
+            omega_sr = _omega_sr(cells, total_snr, t.eta, t.beta, t.path_loss_exp)
             links[name], terms = stage.link(cells, terms, n_s, rate_s, omega_sr, _STREAM_SR)
     if direct_only:
         return links
-    omega_rd = cells.take(t, "omega_rd")
+    omega_rd = _omega_rd(cells, total_snr, t.eta, t.beta, t.path_loss_exp)
     silent = omega_rd == 0.0
     if "rd" in reads:
         shared = terms if cells.same(t.n_r, n_s) else (None, None, None)

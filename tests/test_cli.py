@@ -158,6 +158,8 @@ class TestOutage:
         ("20000.5", "1", "Invalid value for '--trials': '20000.5' is not an integer"),
         ("1e400", "1", "Invalid value for '--trials': '1e400' exceeds the largest double"),
         ("1e999999999", "1", "Invalid value for '--trials': '1e999999999'"),
+        ("1e20", "1", "Error: trials must be <= 100000000, got 100000000000000000000\n"),
+        ("100000001", "1", "Error: trials must be <= 100000000, got 100000001\n"),
     ])
     def test_bad_monte_carlo_counts_exit_2(self, runner, trials, seed, message):
         result = runner.invoke(main, ["outage", "--backend", "mc", "--trials", trials,
@@ -169,6 +171,28 @@ class TestOutage:
         result = runner.invoke(main, ["outage", "--protocol", "dt", "--trials", "1000"])
         assert result.exit_code == 2
         assert "--trials" in result.output
+
+
+class TestCountCaps:
+    """A sweep's points and a region map's cells past their caps are refused
+    with exit 2 before any grid is built (the trials' cap is tested with the
+    other Monte Carlo counts)."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["sweep", "--start", "0", "--stop", "10", "--points", "1e12"],
+         "--points must be <= 100000, got 1000000000000"),
+        (["sweep", "--start", "0", "--stop", "10", "--points", "100001"],
+         "--points must be <= 100000, got 100001"),
+        (["region", "--n-min", "100", "--n-max", "2099", "--k-min", "1", "--k-max", "1001"],
+         "a region map holds at most 2000000 (n, k) cells, got 2002000"),
+        (["region", "--n-min", "1", "--n-max", "1e300", "--n-step", "1e280",
+          "--k-min", "1", "--k-max", "1e20"],
+         f"a region map holds at most 2000000 (n, k) cells, got {10 ** 40}"),
+    ], ids=["points-1e12", "points", "region", "region-1e300"])
+    def test_past_the_cap_exits_2(self, runner, argv, message):
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 2, result.output
+        assert f"Error: {message}\n" in result.output
 
 
 class TestSweep:

@@ -5,13 +5,14 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
 from fbrelay import (
     CANCELLATION_GUARD,
     DomainError,
     ExponentialDensity,
+    FbrelayError,
     HypoexpParams,
     NumericError,
     TIE_TOLERANCE,
@@ -23,6 +24,7 @@ from fbrelay import (
     ramp_coefficients,
     rayleigh_outage,
 )
+from fbrelay.oracles import fading_outage_quadrature_fixed
 
 
 class TestHypoexpParams:
@@ -203,3 +205,88 @@ def test_own_surrogate_contract_below_a_negative_lower_breakpoint():
     closed = rayleigh_outage(150, 7.5, 1.0)
     own = linearized_outage_quadrature(params, ExponentialDensity(1.0), abs_tol=1e-12).value
     assert closed == pytest.approx(own, abs=1e-8)
+
+
+def _powers(lo: float, hi: float, ends):
+    return st.one_of(st.sampled_from(ends), st.floats(lo, hi).map(lambda e: 10.0 ** e))
+
+
+_N = st.one_of(st.sampled_from([1, 100, 500, 2 ** 53 + 1, 2 ** 1023]),
+               st.integers(1, 2 ** 1023), st.floats(0.0, 1023.0).map(lambda e: int(2.0 ** e)))
+_R = _powers(-6.0, math.log10(600.0), [1e-6, 0.5, 64.0, 510.0, 600.0])
+_SNR = _powers(-300.0, 300.0, [1e-300, 1e-154, 1e300])
+#: (z, y): equal means, pairs inside the tie band, and any pair.
+_MEANS = st.one_of(
+    st.builds(lambda z: (z, z), _SNR),
+    st.builds(lambda z, t: (z, z * (1.0 + t)), _SNR, st.floats(-TIE_TOLERANCE, TIE_TOLERANCE)),
+    st.tuples(_SNR, _SNR),
+)
+_W = st.one_of(st.just(0.0), st.floats(0.0, 1e300), _powers(-300.0, 300.0, [1e300]))
+
+#: (w, means) of tied tiny means whose density or CDF was a bare
+#: ZeroDivisionError or NaN.
+_TIED_TINY = [
+    (1.0, (1e-170, 1e-170)),
+    (7.054786815096254e+161, (1.1456659546598967e-82, 1.1456659551284043e-82)),
+    (2.2304069953528045e+206, (1.210710324708557e-154, 1.2107103246462733e-154)),
+]
+
+
+def _check(f, *args, high: float = 1.0) -> None:
+    """f(*args) is a finite value in [0, high], or raises an FbrelayError."""
+    try:
+        value = f(*args)
+    except FbrelayError:
+        return
+    assert 0.0 <= value <= high and math.isfinite(value), (f.__name__, args, value)
+
+
+@pytest.mark.filterwarnings("ignore:blocklength n=")
+class TestWholeInputRange:
+    """Over n from 1 to 2^1023, R from 1e-6 to 600, SNRs and means over
+    10^+-300 and w over [0, 1e300], each closed form, linearize, the
+    hypoexponential density and CDF, and the fixed rule give a finite value
+    in range (a probability, or a density >= 0) or raise an FbrelayError."""
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(_N, _R, _SNR, _MEANS)
+    def test_closed_forms(self, n, rate, snr, means):
+        pair = HypoexpParams(*means)
+        for convention in ("nats", "bits"):
+            _check(rayleigh_outage, n, rate, snr, convention)
+            for ramp in ("zeta", "mu"):
+                _check(mrc_pair_outage, n, rate, pair, convention, ramp)
+
+    @pytest.mark.xfail(strict=True, reason="linearize(2**53 + 1, 1e-6, 1e300) gives zeta = inf: "
+                       "power * sqrt(2 pi) * mu overflows, and nothing checks it")
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(_N, _R, _SNR)
+    def test_linearize(self, n, rate, snr):
+        for convention in ("nats", "bits"):
+            try:
+                params = linearize(n, rate, snr, convention)
+            except FbrelayError:
+                continue
+            for name in ("theta", "mu", "rho_lo", "rho_hi", "zeta"):
+                assert math.isfinite(getattr(params, name)), (name, params)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(_W, _MEANS)
+    @example(*_TIED_TINY[0])
+    @example(*_TIED_TINY[1])
+    @example(*_TIED_TINY[2])
+    def test_densities(self, w, means):
+        params = HypoexpParams(*means)
+        _check(hypoexp_pdf, w, params, high=math.inf)
+        _check(hypoexp_cdf, w, params)
+
+    # the rule's nodes are numpy floats, which warn where a tied density's
+    # first form underflows or overflows
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=12, derandomize=True, deadline=None)
+    @given(_N, _R, st.one_of(_SNR.map(lambda z: (z,)), _MEANS))
+    @example(500, 0.5, (1e-170, 1e-170))
+    @example(10 ** 300, 64.0, (2.938586904098445e-294, 2.9385869041013838e-294))
+    def test_fixed_rule(self, n, rate, means):
+        channel = means[0] if len(means) == 1 else HypoexpParams(*means)
+        _check(fading_outage_quadrature_fixed, n, rate, channel)

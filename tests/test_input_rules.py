@@ -184,6 +184,7 @@ SEED = "seed must be a nonnegative integer, got "
     (20000, -1, SEED + "-1"),
     (20000, True, SEED + "True"),
     (True, 7, "trials must be integers, got True"),
+    (10 ** 8 + 1, 7, "trials must be <= 100000000, got 100000001"),
 ])
 def test_monte_carlo_backend_refuses_what_it_once_truncated(trials, seed, message):
     with pytest.raises(DomainError) as info:
@@ -198,6 +199,7 @@ def test_monte_carlo_backend_refuses_what_it_once_truncated(trials, seed, messag
     ({"trials": 20000, "seed": np.int64(-3)}, SEED + "-3"),
     ({"trials": 20000, "seed": 1, "partitions": 2.5}, "partitions must be integers, got 2.5"),
     ({"trials": 20000, "seed": 1, "partitions": 0}, "partitions must be >= 1, got 0"),
+    ({"trials": 10 ** 8 + 1, "seed": 1}, "trials must be <= 100000000, got 100000001"),
 ])
 def test_monte_carlo_oracle_refuses_before_drawing(kwargs, message):
     with pytest.raises(DomainError) as info:

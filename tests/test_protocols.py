@@ -15,6 +15,8 @@ from fbrelay import (
     DomainError,
     EstimateMethod,
     FbrelayError,
+    LinConvention,
+    NumericError,
     ProtocolKind,
     SnrValue,
     TopologyConfig,
@@ -24,6 +26,7 @@ from fbrelay import (
     rayleigh_outage,
 )
 from fbrelay import protocols
+from fbrelay._cells import Grid
 from fbrelay._estimates import lazy_binding
 from fbrelay.analysis import _coarse_grid
 
@@ -375,6 +378,77 @@ def test_batch_equals_each_cell(backend, convention, examples):
                 assert got == _per_cell(protocol, base, field, value, backend, convention)
 
     check()
+
+
+#: The fixture topology whose relay-hop gain 0.0010000000000000009 ** -200.0
+#: overflows, and a batch over it: plain cells (0 and 5), a refused cell
+#: (1), a cell whose rate terms overflow at n = 1 and 600 bits (2), one
+#: whose broadcast SNR overflows to inf and whose direct link fails on the
+#: closed form (3), and a silent relay (4).
+_HOP_GAIN_BASE = dict(total_snr=TEN_DB, eta=0.5, beta=0.999, path_loss_exp=200.0,
+                      allow_short=True)
+_HOP_GAIN_BATCH = dict(total_snr=[10.0, 10.0, 10.0, 1.7e308, 10.0, 10.0],
+                       eta=[0.5, 0.5, 0.5, 0.9, 1.0, 0.3],
+                       n=[500, 500, 1, 500, 500, 300], k=[250, 250, 600, 250, 250, 150])
+_HOP_GAIN_ERROR = [NumericError, "omega_rd: path-loss gain 0.0010000000000000009 ** -200.0 "
+                                 "overflows double precision"]
+
+
+def _raised(evaluate):
+    try:
+        evaluate()
+    except FbrelayError as exc:
+        return [type(exc), str(exc)]
+    return None
+
+
+@pytest.mark.filterwarnings("ignore:blocklength n=")
+@pytest.mark.parametrize("backend", [
+    Backend.closed_form(), Backend.quadrature(), Backend.monte_carlo(10_000, 3),
+], ids=["closed", "quad", "mc"])
+def test_a_hop_gain_overflow_fails_each_cell_where_its_point_does(backend):
+    """Each cell of a batch records the error its own point evaluation
+    raises: the gain overflow where the relay hop's SNR is read, or an
+    earlier link's error, for every scheme and in link_outages' order."""
+    base = TopologyConfig(**_HOP_GAIN_BASE)
+    refusal = DomainError("refused before evaluation")
+    cells = protocols.TopologyCells(base, refused={1: refusal}, **_HOP_GAIN_BATCH)
+    b = _HOP_GAIN_BATCH
+    topologies = [dataclasses.replace(base, total_snr=SnrValue(p), eta=e, n_s=n, n_r=n, k=k)
+                  for p, e, n, k in zip(b["total_snr"], b["eta"], b["n"], b["k"])]
+    # the topology's own link SNRs: the relay hop raises the batch's error
+    assert _raised(lambda: base.omega_rd) == _HOP_GAIN_ERROR
+    assert _raised(lambda: base.omega_sr) is None
+    for protocol in ("dt", "df", "sc", "mrc"):
+        outage, _, failures = protocols.outages(protocol, cells, backend)
+        assert failures[1] is refusal
+        gain_failed = set()
+        for i, cfg in enumerate(topologies):
+            if i == 1:
+                continue
+            want = _raised(lambda: protocol_outage(protocol, cfg, backend))
+            got = failures.get(i)
+            assert (None if got is None else [type(got), str(got)]) == want
+            if want is None:
+                assert outage[i] == protocol_outage(protocol, cfg, backend).value
+            elif want == _HOP_GAIN_ERROR:
+                gain_failed.add(i)
+        if protocol == "dt":
+            assert not gain_failed
+        else:  # the relay hop fails the plain cells; cell 3 fails before it is read
+            assert {0, 4, 5} <= gain_failed and 3 not in gain_failed
+    if backend.kind is BackendKind.MONTE_CARLO:
+        return  # Monte Carlo evaluates a batch cell by cell
+    grid = Grid(cells.size, failures=dict(cells.refused))
+    grid.alive[1] = False
+    with np.errstate(all="ignore"):
+        protocols._links(grid, ("sd", "sr", "rd", "srd"), cells, cells.total_snr,
+                         protocols._link_stage(backend, LinConvention.NATS))
+    assert grid.failures[1] is refusal and not grid.alive.any()
+    for i, cfg in enumerate(topologies):
+        if i != 1:
+            got = grid.failures[i]
+            assert [type(got), str(got)] == _raised(lambda: link_outages(cfg, backend))
 
 
 @pytest.mark.filterwarnings("ignore:blocklength n=")
