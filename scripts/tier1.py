@@ -3,11 +3,10 @@
 Tier-1 is ``python -m pytest -q --continue-on-collection-errors`` from the
 repository root with ``src`` on ``PYTHONPATH``.  It must end with exactly
 two failures, the tests that fail by design (README, "Two tests fail by
-design"), and exactly the xfails in ``XFAILED``: the strict markers on
-ROADMAP item 0d and on linearize's whole-range property (ROADMAP 0k).
-This script runs the suite with ``--junitxml`` and exits 0 only then: a new
-failure or error, a red test turning green, and any change in the xfailed
-set each exit 1.  Run it from anywhere:
+design"), and exactly the xfails in ``XFAILED``: the strict marker on
+ROADMAP item 0d.  This script runs the suite with ``--junitxml`` and
+exits 0 only then: a new failure or error, a red test turning green, and
+any change in the xfailed set each exit 1.  Run it from anywhere:
 
     python3 scripts/tier1.py
 """
@@ -30,7 +29,6 @@ FAILED_BY_DESIGN = {
 }
 XFAILED = {
     ("tests.test_closed_form", "test_own_surrogate_contract_below_a_negative_lower_breakpoint"),
-    ("tests.test_closed_form.TestWholeInputRange", "test_linearize"),
 }
 
 

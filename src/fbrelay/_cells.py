@@ -77,10 +77,6 @@ class _Point:
     def where(cond, a, b):
         return a if cond else b
 
-    @staticmethod
-    def same(a, b) -> bool:
-        return a == b
-
 
 POINT = _Point()
 
@@ -137,7 +133,3 @@ class Grid:
     @staticmethod
     def where(cond, a, b) -> np.ndarray:
         return np.where(cond, a, b)
-
-    @staticmethod
-    def same(a, b) -> bool:
-        return bool(np.array_equal(a, b))

@@ -19,7 +19,8 @@ Each closed form is written once, against the ``cells`` objects of
 ``_cells``: the public functions evaluate it at one point, and the
 protocol layer evaluates it over whole grids of cells (``rayleigh_link``,
 ``pair_link``), bit for bit equal to the point values and failing per cell
-with the exception the point evaluation raises.
+with the exception the point evaluation raises.  Each link builds its own
+surrogate from ``rate_terms`` at its own (n, rate).
 """
 
 from __future__ import annotations
@@ -152,9 +153,12 @@ def _log_sinhc(cells, delta):
     return cells.each(math.log, cells.each(math.sinh, delta) / delta)
 
 
-def _rayleigh(cells, terms, omega, n, rate):
-    """The single-link closed form from shared rate terms (see rayleigh_outage)."""
-    pow2m1, mu, half = terms
+def rayleigh_link(cells, n, rate, omega, convention: LinConvention):
+    """Single-link outage (see rayleigh_outage) at valid (n, rate) and an
+    average SNR given as a plain float, at one point or per cell of a Grid
+    (see ``_cells``): the SNR check, then the rate terms, then the window."""
+    check_snr(cells, omega, positive=True)
+    pow2m1, mu, half = rate_terms(cells, n, rate, convention)
     theta = pow2m1 / omega
     check_window(cells, theta, half)
     zeta = omega * SQRT_2PI * mu
@@ -171,19 +175,6 @@ def _rayleigh(cells, terms, omega, n, rate):
                "rayleigh_outage: surrogate average diverged (n={}, rate={}, avg_snr={!r})",
                n, rate, omega)
     return _finalize(cells, -cells.each(math.expm1, log_term), "rayleigh_outage")
-
-
-def rayleigh_link(cells, terms, n, rate, omega, convention: LinConvention):
-    """Single-link outage at an average SNR given as a plain float.
-
-    n and rate must be valid; ``terms`` are the shared ``rate_terms`` at
-    (n, rate), or None to compute them here, after the SNR check, in the
-    order ``linearize`` computes them.  Returns (outage, terms).
-    """
-    check_snr(cells, omega, positive=True)
-    if terms is None:
-        terms = rate_terms(cells, n, rate, convention)
-    return _rayleigh(cells, terms, omega, n, rate), terms
 
 
 def rayleigh_outage(
@@ -205,7 +196,7 @@ def rayleigh_outage(
     """
     convention = LinConvention.parse(convention)
     p = check_request(n, rate, avg_snr)
-    return _rayleigh(POINT, rate_terms(POINT, n, rate, convention), p, n, rate)
+    return rayleigh_link(POINT, n, rate, p, convention)
 
 
 def _exps(cells, args, context):
@@ -271,10 +262,12 @@ def _pair_outage_unequal(cells, m, lo, hi, theta, omega_z, omega_y, n, rate):
     return bracket / (oz - oy)
 
 
-def pair_link(cells, terms, n, rate, omega_z, omega_y, ramp_slope: RampSlope = "zeta"):
-    """Combined-link outage from the shared rate terms at valid (n, rate),
-    for valid branch means given as plain floats (see mrc_pair_outage)."""
-    pow2m1, mu, half = terms
+def pair_link(cells, n, rate, omega_z, omega_y, convention: LinConvention,
+              ramp_slope: RampSlope = "zeta"):
+    """Combined-link outage (see mrc_pair_outage) at valid (n, rate), for
+    valid branch means given as plain floats, at one point or per cell of a
+    Grid (see ``_cells``)."""
+    pow2m1, mu, half = rate_terms(cells, n, rate, convention)
     theta = pow2m1  # power 1: (2^rate - 1)/1
     check_window(cells, theta, half)
     if ramp_slope not in _RAMP_CHOICES:
@@ -310,5 +303,4 @@ def mrc_pair_outage(
     """
     convention = LinConvention.parse(convention)
     check_request(n, rate, 1.0)
-    terms = rate_terms(POINT, n, rate, convention)
-    return pair_link(POINT, terms, n, rate, params.omega_z, params.omega_y, ramp)
+    return pair_link(POINT, n, rate, params.omega_z, params.omega_y, convention, ramp)

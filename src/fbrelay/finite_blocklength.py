@@ -224,8 +224,13 @@ def outage_given_snr(n: int, rate: float, rho: float) -> float:
         return 1.0
     num = math.log1p(rho) - rate * LN2
     spread = rho * (2.0 + rho)
-    # above rho ~ 1.3e154 the product overflows; split the root only there
-    root = math.sqrt(spread) if spread != math.inf else math.sqrt(rho) * math.sqrt(2.0 + rho)
+    if spread != math.inf:
+        root = math.sqrt(spread)
+    elif rho != math.inf:
+        # above rho ~ 1.3e154 the product overflows; split the root only there
+        root = math.sqrt(rho) * math.sqrt(2.0 + rho)
+    else:
+        return 0.0  # (1 + rho)/root tends to 1, so the Q argument to +inf
     arg = math.sqrt(n) * num * (1.0 + rho) / root
     # erfc underflows to 0 beyond ~±38 sigma, exactly the right limits here
     return 0.5 * float(erfc(arg / math.sqrt(2.0)))

@@ -115,10 +115,11 @@ def rate_terms(cells, n, rate, convention: LinConvention):
     """The rate-only part of the surrogate: (2^rate - 1, mu, half-width).
 
     theta = (2^rate - 1)/power, and mu and the half-width sqrt(pi/2)/mu do
-    not depend on the power at all, so every link evaluated at one
-    (n, rate) shares them.  ``cells`` is ``POINT`` or a ``Grid`` (see
-    ``_cells``); n and rate must already be valid.  Rates of a few hundred
-    bits per use overflow these terms, which fails the cell.
+    not depend on the power at all.  Each closed-form link computes them
+    at its own (n, rate); this is the one place where the convention
+    enters.  ``cells`` is ``POINT`` or a ``Grid`` (see ``_cells``); n and
+    rate must already be valid.  Rates of a few hundred bits per use
+    overflow these terms, which fails the cell.
     """
     pow2m1 = cells.each(pow2_or_inf, rate) - 1.0
     if convention is LinConvention.NATS:
@@ -171,12 +172,16 @@ def linearize(
     pow2m1, mu, half = rate_terms(POINT, n, rate, convention)
     theta = pow2m1 / p
     check_window(POINT, theta, half)
+    zeta = p * SQRT_2PI * mu
+    if zeta == math.inf:
+        raise NumericError("linearize: ramp slope zeta overflowed double precision "
+                           f"(n={n}, rate={rate}, power={p!r})")
     return LinearizationParams(
         theta=theta,
         mu=mu,
         rho_lo=theta - half,
         rho_hi=theta + half,
-        zeta=p * SQRT_2PI * mu,
+        zeta=zeta,
         convention=convention,
         n=n,
         rate=rate,

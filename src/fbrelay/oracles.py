@@ -660,7 +660,8 @@ def _conditional_outage_np(sqrt_n, rate_ln2, w: np.ndarray) -> np.ndarray:
     scalars or as columns, one row per row of w.
 
     Where w * (2 + w) overflows (w above about 1.3e154), the factor
-    (1 + w) / sqrt(w (2 + w)) is taken as (1 + w) / (sqrt(w) sqrt(2 + w)).
+    (1 + w) / sqrt(w (2 + w)) is taken as (1 + w) / (sqrt(w) sqrt(2 + w)),
+    and as its limit 1 at w = inf, where the error is 0.
     """
     if np.maximum.reduce(w, axis=None) <= 1e154:  # no w * (2 + w) can overflow
         return 0.5 * erfc(_q_argument(sqrt_n, rate_ln2, w) / math.sqrt(2.0))
@@ -671,8 +672,8 @@ def _conditional_outage_np(sqrt_n, rate_ln2, w: np.ndarray) -> np.ndarray:
         if np.ndim(sqrt_n):  # one row of parameters per row of w
             sqrt_n = np.broadcast_to(sqrt_n, w.shape)[huge]
             rate_ln2 = np.broadcast_to(rate_ln2, w.shape)[huge]
-        arg[huge] = sqrt_n * (np.log1p(big) - rate_ln2) * (
-            (1.0 + big) / (np.sqrt(big) * np.sqrt(2.0 + big)))
+        arg[huge] = sqrt_n * (np.log1p(big) - rate_ln2) * np.where(
+            big < np.inf, (1.0 + big) / (np.sqrt(big) * np.sqrt(2.0 + big)), 1.0)
     return 0.5 * erfc(arg / math.sqrt(2.0))
 
 
@@ -760,7 +761,8 @@ def fading_outage_mc(
         gen = np.random.Generator(np.random.Philox(ss))
         w = gen.exponential(omega_z, size=size)
         if omega_y == omega_y:  # the combined link: the sum of the two branch draws
-            w = w + gen.exponential(omega_y, size=size)
+            with np.errstate(over="ignore"):  # a sum past the largest double is inf
+                w = w + gen.exponential(omega_y, size=size)
         values = _conditional_outage_np(sqrt_n, rate_ln2, w)
         if bernoulli:
             values = (gen.random(size) < values).astype(float)

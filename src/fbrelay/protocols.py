@@ -26,7 +26,8 @@ cross-examined by a slower, independent one.  One table holds each
 composition and its partial derivatives (for the Monte Carlo std_error),
 and one evaluator reads a scheme's links; a backend supplies only its link
 stage: the closed-form kernels or the true-tail quadrature, at one point or
-over ``_cells`` grids, or Monte Carlo at one point.  ``outages`` evaluates a
+over ``_cells`` grids, or Monte Carlo at one point.  A stage evaluates each
+link from its own blocklength, rate and SNR alone.  ``outages`` evaluates a
 whole ``TopologyCells`` batch on any backend, bit for bit as
 ``protocol_outage`` and failing per cell: the closed form in one grid call,
 quadrature in one grid call that integrates each link of all the cells
@@ -347,18 +348,13 @@ def _silent_pair(cells, sd, *_):
     return sd  # continuity: with the relay silent the combined link is the direct one
 
 
-def _hop(cells, stage, n_r, rate_r, omega_rd, pow2m1, mu, half):
-    terms = None if pow2m1 is None else (pow2m1, mu, half)
-    return stage.link(cells, terms, n_r, rate_r, omega_rd, _STREAM_RD)[0]
-
-
 class _ValueLinks:
     """A link stage whose links are plain values, at POINT or over a Grid."""
 
     method: EstimateMethod
 
     @staticmethod
-    def silent_hop(cells, *_):
+    def silent_link(cells, *_):
         return 1.0  # a silent relay's forward hop is a certain outage
 
     def outage(self, compose, _partials, links) -> OutageEstimate:
@@ -373,14 +369,13 @@ class _ClosedLinks(_ValueLinks):
     def __init__(self, convention: LinConvention) -> None:
         self.convention = convention
 
-    def link(self, cells, terms, n, rate, omega, _stream):
-        return rayleigh_link(cells, terms, n, rate, omega, self.convention)
+    def link(self, cells, n, rate, omega, _stream):
+        return rayleigh_link(cells, n, rate, omega, self.convention)
 
-    @staticmethod
-    def pair(cells, _sd, omega_sd, omega_rd, n_s, n_r, rate_s, pow2m1, mu, half):
+    def pair(self, cells, _sd, omega_sd, omega_rd, n_s, n_r, rate_s):
         check_means(cells, omega_sd, omega_rd)
         cells.fail(n_s != n_r, DomainError, _MIXED_FRAMING, n_s, n_r)
-        return pair_link(cells, (pow2m1, mu, half), n_s, rate_s, omega_sd, omega_rd)
+        return pair_link(cells, n_s, rate_s, omega_sd, omega_rd, self.convention)
 
 
 class _QuadLinks(_ValueLinks):
@@ -392,16 +387,14 @@ class _QuadLinks(_ValueLinks):
     method = EstimateMethod.QUAD_TRUE_Q
 
     @staticmethod
-    def link(cells, _terms, n, rate, omega, _stream):
+    def link(cells, n, rate, omega, _stream):
         if cells is POINT:
-            value = fading_outage_quadrature(n, rate, ExponentialDensity(omega)).value
-        else:
-            check_mean(cells, omega)  # ExponentialDensity's check
-            value = true_tail_outages(cells, n, rate, omega)
-        return value, (None, None, None)
+            return fading_outage_quadrature(n, rate, ExponentialDensity(omega)).value
+        check_mean(cells, omega)  # ExponentialDensity's check
+        return true_tail_outages(cells, n, rate, omega)
 
     @staticmethod
-    def pair(cells, _sd, omega_sd, omega_rd, n_s, _n_r, rate_s, *_):
+    def pair(cells, _sd, omega_sd, omega_rd, n_s, _n_r, rate_s):
         # The combined-branch decode is framed by the source codeword: the
         # relayed copy contributes SNR, not channel uses, so (n_s, k/n_s)
         # governs, mixed framing included.
@@ -422,15 +415,15 @@ class _MonteCarloLinks:
         b = self.backend
         return fading_outage_mc(n, rate, channel, b.trials, b.seed, stream=stream)
 
-    def link(self, cells, _terms, n, rate, omega, stream):
-        return self._oracle(n, rate, ExponentialDensity(omega), stream), (None, None, None)
+    def link(self, cells, n, rate, omega, stream):
+        return self._oracle(n, rate, ExponentialDensity(omega), stream)
 
-    def silent_hop(self, cells, *_):
+    def silent_link(self, cells, *_):
         b = self.backend
         return OutageEstimate(value=1.0, method=EstimateMethod.MONTE_CARLO, std_error=0.0,
                               trials=b.trials, seed=b.seed)
 
-    def pair(self, cells, _sd, omega_sd, omega_rd, n_s, _n_r, rate_s, *_):
+    def pair(self, cells, _sd, omega_sd, omega_rd, n_s, _n_r, rate_s):
         # framed by the source codeword, as in _QuadLinks.pair
         return self._oracle(n_s, rate_s, HypoexpParams(omega_sd, omega_rd), _STREAM_SRD)
 
@@ -460,33 +453,31 @@ def _links(cells, reads: "tuple[str, ...]", t, total_snr, stage) -> dict:
     ``t`` is one topology (``cells`` is POINT) or a TopologyCells batch
     (``cells`` is a Grid, and ``stage`` closed or quadrature).  sd and sr
     are evaluated in the order of ``reads``, then rd or srd; each link's
-    SNR and outage are checked where they are evaluated.  The links at
-    (n_s, rate_s) share one set of rate terms.  Without a relay link (DT)
-    the source has the full budget.  With a silent relay (eta = 1) the
-    forward hop is a certain outage and the combined link is the direct
-    one, by continuity.
+    SNR and outage are checked where they are evaluated.  Without a relay
+    link (DT) the source has the full budget.  With a silent relay
+    (eta = 1) the forward hop is a certain outage and the combined link is
+    the direct one, by continuity.
     """
     n_s, rate_s = t.n_s, t.rate_s
     direct_only = len(reads) == 1
     omega_sd = total_snr if direct_only else _omega_sd(total_snr, t.eta)
-    links, terms = {}, None
+    links = {}
     for name in reads:
         if name == "sd":
-            links[name], terms = stage.link(cells, terms, n_s, rate_s, omega_sd, _STREAM_SD)
+            links[name] = stage.link(cells, n_s, rate_s, omega_sd, _STREAM_SD)
         elif name == "sr":
             omega_sr = _omega_sr(cells, total_snr, t.eta, t.beta, t.path_loss_exp)
-            links[name], terms = stage.link(cells, terms, n_s, rate_s, omega_sr, _STREAM_SR)
+            links[name] = stage.link(cells, n_s, rate_s, omega_sr, _STREAM_SR)
     if direct_only:
         return links
     omega_rd = _omega_rd(cells, total_snr, t.eta, t.beta, t.path_loss_exp)
     silent = omega_rd == 0.0
     if "rd" in reads:
-        shared = terms if cells.same(t.n_r, n_s) else (None, None, None)
-        links["rd"] = cells.branch(silent, stage.silent_hop, _hop,
-                                   stage, t.n_r, t.rate_r, omega_rd, *shared)
+        links["rd"] = cells.branch(silent, stage.silent_link, stage.link,
+                                   t.n_r, t.rate_r, omega_rd, _STREAM_RD)
     if "srd" in reads:
         links["srd"] = cells.branch(silent, _silent_pair, stage.pair, links["sd"],
-                                    omega_sd, omega_rd, n_s, t.n_r, rate_s, *terms)
+                                    omega_sd, omega_rd, n_s, t.n_r, rate_s)
     return links
 
 

@@ -174,9 +174,9 @@ class TestOutage:
 
 
 class TestCountCaps:
-    """A sweep's points and a region map's cells past their caps are refused
-    with exit 2 before any grid is built (the trials' cap is tested with the
-    other Monte Carlo counts)."""
+    """A sweep's points, a region map's cells and validate's SNR points past
+    their caps are refused with exit 2 before any grid is built (the trials'
+    cap is tested with the other Monte Carlo counts)."""
 
     @pytest.mark.parametrize("argv, message", [
         (["sweep", "--start", "0", "--stop", "10", "--points", "1e12"],
@@ -188,7 +188,9 @@ class TestCountCaps:
         (["region", "--n-min", "1", "--n-max", "1e300", "--n-step", "1e280",
           "--k-min", "1", "--k-max", "1e20"],
          f"a region map holds at most 2000000 (n, k) cells, got {10 ** 40}"),
-    ], ids=["points-1e12", "points", "region", "region-1e300"])
+        (["validate", "--full", "--snr-points", "10001"],
+         "--snr-points must be <= 10000, got 10001"),
+    ], ids=["points-1e12", "points", "region", "region-1e300", "snr-points"])
     def test_past_the_cap_exits_2(self, runner, argv, message):
         result = runner.invoke(main, argv)
         assert result.exit_code == 2, result.output

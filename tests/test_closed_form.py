@@ -257,8 +257,6 @@ class TestWholeInputRange:
             for ramp in ("zeta", "mu"):
                 _check(mrc_pair_outage, n, rate, pair, convention, ramp)
 
-    @pytest.mark.xfail(strict=True, reason="linearize(2**53 + 1, 1e-6, 1e300) gives zeta = inf: "
-                       "power * sqrt(2 pi) * mu overflows, and nothing checks it")
     @settings(max_examples=150, derandomize=True, deadline=None)
     @given(_N, _R, _SNR)
     def test_linearize(self, n, rate, snr):

@@ -33,7 +33,6 @@ from fbrelay import (
 )
 from fbrelay._cells import Grid
 from fbrelay.closed_form import pair_link, rayleigh_link
-from fbrelay.linearization import rate_terms
 
 FIXTURE = json.loads(
     (Path(__file__).parent / "data" / "closed_form_fixture.json").read_text(encoding="utf-8")
@@ -99,11 +98,10 @@ class TestLattice:
         cells = Grid(len(rows))
         with np.errstate(all="ignore"):
             if kind == "single":
-                eps, _ = rayleigh_link(cells, None, n, rate, oz, convention)
+                eps = rayleigh_link(cells, n, rate, oz, convention)
             else:
                 oy = np.array([r["omega_y"] for r in rows])
-                terms = rate_terms(cells, n, rate, convention)
-                eps = pair_link(cells, terms, n, rate, oz, oy)
+                eps = pair_link(cells, n, rate, oz, oy, convention)
         for i, row in enumerate(rows):
             assert matches(row[conv], eps[i].item(), cells.failures.get(i)), row
 
@@ -260,9 +258,9 @@ class TestArithmeticEscapes:
         # the failing cell between two good ones
         cells = Grid(3)
         with np.errstate(all="ignore"):
-            eps, _ = rayleigh_link(cells, None, np.array([500, n, 500]),
-                                   np.array([0.5, rate, 0.5]), np.array([10.0, snr, 10.0]),
-                                   LinConvention.parse(conv))
+            eps = rayleigh_link(cells, np.array([500, n, 500]),
+                                np.array([0.5, rate, 0.5]), np.array([10.0, snr, 10.0]),
+                                LinConvention.parse(conv))
         assert list(cells.failures) == [1]
         assert type(cells.failures[1]) is NumericError and str(cells.failures[1]) == message
         assert eps[0] == eps[2] == rayleigh_outage(500, 0.5, 10.0, conv)

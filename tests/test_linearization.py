@@ -84,6 +84,13 @@ class TestLinearize:
         with pytest.raises(NumericError):
             linearize(10000, 1e-4, SnrValue.from_db(-200.0))
 
+    def test_zeta_overflow_is_a_numeric_error(self):
+        # power * sqrt(2 pi) * mu overflows, as in rayleigh_outage at the same inputs
+        with pytest.raises(NumericError) as exc:
+            linearize(2 ** 53 + 1, 1e-6, 1e300)
+        assert str(exc.value) == ("linearize: ramp slope zeta overflowed double precision "
+                                  "(n=9007199254740993, rate=1e-06, power=1e+300)")
+
 
 class TestParamsValidation:
     def test_breakpoints_must_straddle(self):

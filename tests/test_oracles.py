@@ -617,6 +617,64 @@ class TestWholeInputRange:
             assert _outcome(n, rate, y, z) == cold
 
 
+#: Means up to the largest double, where an exponential draw overflows to inf.
+_MEAN_TO_MAX = st.one_of(st.sampled_from([1e-300, 1e300, 1.5e308, 1.79e308]),
+                         st.floats(-300.0, 308.25).map(lambda e: 10.0 ** e))
+#: One link's mean, or a pair (z, y): equal, inside the tie band, or any.
+_CHANNEL_TO_MAX = st.one_of(
+    _MEAN_TO_MAX,
+    st.builds(lambda z: (z, z), _MEAN_TO_MAX),
+    st.builds(lambda z, t: (z, z * (1.0 + t)), _MEAN_TO_MAX,
+              st.floats(-TIE_TOLERANCE, TIE_TOLERANCE)),
+    st.tuples(_MEAN_TO_MAX, _MEAN_TO_MAX),
+)
+_ANY_N = st.one_of(st.sampled_from([1.0, 500.0, 1e300]),
+                   st.floats(0.0, 300.0).map(lambda e: 10.0 ** e), st.integers(1, 2 ** 1023))
+
+
+def _in_range_or_typed(evaluate) -> None:
+    """evaluate() gives an estimate whose value lies in [0, 1], or raises an
+    FbrelayError."""
+    try:
+        value = evaluate().value
+    except FbrelayError:
+        return
+    assert 0.0 <= value <= 1.0, value
+
+
+class TestSampledAndSurrogateRange:
+    """Over n from 1 to 2^1023, R from 1e-6 to 600 and means up to 1.79e308,
+    fading_outage_mc (10,000 trials) and linearized_outage_quadrature give
+    a value in [0, 1] or raise an FbrelayError, and warn of no overflow."""
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(_ANY_N, _ANY_RATE, _CHANNEL_TO_MAX)
+    @example(500, 0.5, 1.5e308)  # an inf draw's conditional error was NaN
+    @example(500, 0.5, (1e308, 1e308))  # the sum of two draws overflowed
+    def test_monte_carlo(self, n, rate, channel):
+        _in_range_or_typed(lambda: fading_outage_mc(
+            n, rate, HypoexpParams(*channel) if isinstance(channel, tuple) else channel,
+            10_000, 1))
+
+    # the Erlang density of tiny tied means divides by an underflowed
+    # mean^2 on its way to a ConvergenceError (ROADMAP 0j), as in the
+    # true-tail slice above
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(_ANY_N, _ANY_RATE, _CHANNEL_TO_MAX, st.sampled_from(["nats", "bits"]),
+           st.sampled_from(["zeta", "mu"]))
+    @example(500, 0.5, 1.5e308, "nats", "zeta")
+    @example(500, 0.5, (1e308, 1e308), "nats", "zeta")
+    def test_linearized_quadrature(self, n, rate, channel, convention, slope):
+        # a pair in the instantaneous-SNR domain, one link in the gain domain
+        if isinstance(channel, tuple):
+            _in_range_or_typed(lambda: linearized_outage_quadrature(
+                linearize(n, rate, 1.0, convention), HypoexpParams(*channel), slope=slope))
+        else:
+            _in_range_or_typed(lambda: linearized_outage_quadrature(
+                linearize(n, rate, channel, convention), ExponentialDensity(1.0), slope=slope))
+
+
 class TestArrayIntegrand:
     """The adaptive oracles' array integrand against the scalar functions
     the fixed rule uses."""
@@ -934,16 +992,20 @@ class TestMonteCarlo:
             est = fading_outage_mc(500, 0.5, channel, 200_000, seed=123)
             assert abs(est.value - truth) <= 4.0 * est.std_error
 
-    @pytest.mark.parametrize("mean", [1e160, 1e305])
+    @pytest.mark.parametrize("mean", [1e160, 1e305, 1.5e308, (1e308, 1e308)])
     def test_huge_mean_snr_agrees_with_quadrature(self, mean):
         # Every draw is far past the transition, where w * (2 + w) overflows;
-        # the true outage is about 4e-6 / mean.
-        truth = fading_outage_quadrature(500, 0.5, mean).value
+        # the true outage is about 4e-6 / mean.  Near the largest double a
+        # draw, or the sum of a pair's two draws, is inf, whose error is 0.
+        channel = HypoexpParams(*mean) if isinstance(mean, tuple) else mean
+        truth = fading_outage_quadrature(500, 0.5, channel).value
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            est = fading_outage_mc(500, 0.5, mean, 20_000, seed=1)
-        assert 0.0 < truth < 1e-150
+            est = fading_outage_mc(500, 0.5, channel, 20_000, seed=1)
+        # the pair's outage, about 4e-6 / mean^2, underflows to 0
+        assert truth < 1e-150 and (truth > 0.0) == (channel is mean)
         assert abs(est.value - truth) <= truth and est.std_error == 0.0
+        assert outage_given_snr(500, 0.5, math.inf) == 0.0
 
     def test_error_shrinks_like_sqrt_trials(self):
         small = fading_outage_mc(500, 0.5, 10.0, 100_000, seed=5)

@@ -451,6 +451,47 @@ def test_a_hop_gain_overflow_fails_each_cell_where_its_point_does(backend):
             assert [type(got), str(got)] == _raised(lambda: link_outages(cfg, backend))
 
 
+_SNR_INF_CLOSED = [DomainError, "SNR must be a finite nonnegative ratio, got inf"]
+_SNR_INF_ORACLE = [DomainError, "exponential mean must be positive and finite, got inf"]
+#: Per backend, what each scheme raises on the cell whose broadcast SNR
+#: 0.9 * 1e308 / 0.5 overflows to inf and whose rate terms, at n = 1 and
+#: 600 bits per use, overflow too.  A link checks its SNR before it builds
+#: its surrogate or window, so the relayed schemes fail on the broadcast
+#: SNR; DT's direct link has a finite SNR and fails on the rate.
+_CHECK_ORDER = {
+    "closed": dict(dict.fromkeys(("df", "sc", "mrc"), _SNR_INF_CLOSED), dt=[
+        NumericError, "surrogate rate terms overflowed double precision (n=1, rate=600.0)"]),
+    "quad": dict(dict.fromkeys(("df", "sc", "mrc"), _SNR_INF_ORACLE), dt=[
+        NumericError, "true-tail quadrature: transition window overflowed double precision "
+                      "(n=1, rate=600.0)"]),
+    "mc": dict.fromkeys(("df", "sc", "mrc"), _SNR_INF_ORACLE),
+}
+
+
+@pytest.mark.filterwarnings("ignore:blocklength n=")
+@pytest.mark.parametrize("backend", [
+    Backend.closed_form(), Backend.quadrature(), Backend.monte_carlo(10_000, 3),
+], ids=["closed", "quad", "mc"])
+def test_each_link_checks_its_snr_before_its_rate(backend):
+    """A point, and the same cell between two plain ones of a batch, fail
+    with the error of the first check that the cell fails, in the order
+    each link takes its checks."""
+    cfg = TopologyConfig(SnrValue(1e308), 0.9, 0.5, 1.0, 1, 1, 600, allow_short=True)
+    want = _CHECK_ORDER[backend.label]
+    for protocol, error in want.items():
+        assert _raised(lambda: protocol_outage(protocol, cfg, backend)) == error
+    if backend.kind is BackendKind.MONTE_CARLO:
+        # every draw of this mean, inf ones included, lies far past the threshold
+        assert protocol_outage("dt", cfg, backend).value == 0.0
+        return
+    cells = protocols.TopologyCells(cfg, total_snr=[10.0, 1e308, 10.0], eta=[0.5, 0.9, 0.5],
+                                    n=[500, 1, 500], k=[250, 600, 250])
+    for protocol, error in want.items():
+        _, _, failures = protocols.outages(protocol, cells, backend)
+        assert list(failures) == [1]
+        assert [type(failures[1]), str(failures[1])] == error
+
+
 @pytest.mark.filterwarnings("ignore:blocklength n=")
 @pytest.mark.parametrize("db, n_s, n_r, k", [
     (10.0, 500, 500, 250),
