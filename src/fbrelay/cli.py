@@ -253,7 +253,7 @@ def _build_backend(kind: str, p: "dict[str, object]") -> Backend:
         if p.get("trials") is None or p.get("seed") is None:
             raise click.UsageError("--backend mc requires --trials and --seed")
         return Backend.monte_carlo(p["trials"], p["seed"])
-    return Backend.closed_form() if kind == "closed" else Backend.quadrature()
+    return Backend(BackendKind(kind))
 
 
 def _build_backends(p: "dict[str, object]") -> "list[Backend]":

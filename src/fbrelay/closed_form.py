@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from ._cells import INF, POINT, exp_or_inf
 from ._estimates import as_mean, check_mean, exponential_cdf
 from .errors import DomainError, NumericError
-from .finite_blocklength import SnrValue, check_snr
+from .finite_blocklength import SnrValue, check_code
 from .linearization import (
     _RAMP_CHOICES,
     SQRT_2PI,
@@ -154,10 +154,10 @@ def _log_sinhc(cells, delta):
 
 
 def rayleigh_link(cells, n, rate, omega, convention: LinConvention):
-    """Single-link outage (see rayleigh_outage) at valid (n, rate) and an
-    average SNR given as a plain float, at one point or per cell of a Grid
-    (see ``_cells``): the SNR check, then the rate terms, then the window."""
-    check_snr(cells, omega, positive=True)
+    """Single-link outage (see rayleigh_outage) at valid (n, rate) and a
+    valid (positive, finite) average SNR given as a plain float, at one
+    point or per cell of a Grid (see ``_cells``): the rate terms, then the
+    window.  The caller checks the SNR first."""
     pow2m1, mu, half = rate_terms(cells, n, rate, convention)
     theta = pow2m1 / omega
     check_window(cells, theta, half)
@@ -302,5 +302,5 @@ def mrc_pair_outage(
     raises NumericError.
     """
     convention = LinConvention.parse(convention)
-    check_request(n, rate, 1.0)
+    check_code(POINT, n, rate)
     return pair_link(POINT, n, rate, params.omega_z, params.omega_y, convention, ramp)

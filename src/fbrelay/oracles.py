@@ -55,9 +55,11 @@ Monte Carlo reproducibility contract: the estimate is a pure function of
 (seed, trials, partitions, stream).  Each partition owns a counter-based
 generator keyed by (seed, stream, partition index), and partial sums are
 combined in partition order, so the result is bit-identical regardless of
-how many threads actually ran.  The partitions of every call run on one
-thread pool per process, built by the first call that needs more than one
-worker and rebuilt only when the worker count changes.
+how many threads actually ran.  The partitions of every call that needs
+more than one worker run on one thread pool per process: _pool, a
+functools.lru_cache of one entry keyed by the worker count.  A call with
+another count replaces the pool, whose threads finish the work they were
+given and exit; a forked child clears the cache and builds its own pool.
 
 The value types (OutageEstimate, EstimateMethod, ExponentialDensity) are
 defined in ``_estimates``, which does not load scipy, and re-exported here.
@@ -68,7 +70,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -688,39 +689,18 @@ def _worker_count(partitions: int) -> int:
     return max(1, min(partitions, available))
 
 
-_pool_lock = threading.Lock()
-_pool: "ThreadPoolExecutor | None" = None
-_pool_size = 0
+@functools.lru_cache(maxsize=1)
+def _pool(workers: int) -> ThreadPoolExecutor:
+    """The process's Monte Carlo pool of that size.
 
-
-def _pool_map(fn, count: int, workers: int):
-    """fn(0), ..., fn(count - 1) on the process's Monte Carlo pool, in order.
-
-    The pool is built by the first call and kept; a call with another
-    worker count replaces it, once the old pool has run the work it was
-    given and its threads have exited.  Work is submitted under the lock,
-    so no caller submits to a pool that another has shut down.  Idle
-    workers are joined at interpreter exit by concurrent.futures.
+    A call with another size replaces the pool; the dropped pool's threads
+    finish the work already submitted to them and exit.
     """
-    global _pool, _pool_size
-    with _pool_lock:
-        if _pool_size != workers:
-            if _pool is not None:
-                _pool.shutdown()
-            _pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="fbrelay-mc")
-            _pool_size = workers
-        return _pool.map(fn, range(count))
+    return ThreadPoolExecutor(max_workers=workers, thread_name_prefix="fbrelay-mc")
 
 
-def _forget_pool() -> None:
-    """In a forked child: the parent's worker threads do not exist there,
-    and a lock one of them held would stay held."""
-    global _pool_lock, _pool, _pool_size
-    _pool_lock, _pool, _pool_size = threading.Lock(), None, 0
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
+if hasattr(os, "register_at_fork"):  # the parent's pool threads do not exist in a child
+    os.register_at_fork(after_in_child=_pool.cache_clear)
 
 
 def fading_outage_mc(
@@ -770,7 +750,7 @@ def fading_outage_mc(
 
     workers = _worker_count(partitions)
     if workers > 1:
-        partials = list(_pool_map(run_partition, partitions, workers))
+        partials = list(_pool(workers).map(run_partition, range(partitions)))
     else:
         partials = [run_partition(i) for i in range(partitions)]
 

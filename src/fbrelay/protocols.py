@@ -61,7 +61,7 @@ from .closed_form import (
     rayleigh_outage,  # noqa: F401  (bench/worker.py traces calls through this name)
 )
 from .errors import DomainError, FbrelayError, NumericError
-from .finite_blocklength import RateSpec, SnrValue
+from .finite_blocklength import RateSpec, SnrValue, check_snr
 from .linearization import LinConvention
 
 # The oracles load scipy; the closed backend never calls them.
@@ -370,6 +370,7 @@ class _ClosedLinks(_ValueLinks):
         self.convention = convention
 
     def link(self, cells, n, rate, omega, _stream):
+        check_snr(cells, omega, positive=True)
         return rayleigh_link(cells, n, rate, omega, self.convention)
 
     def pair(self, cells, _sd, omega_sd, omega_rd, n_s, n_r, rate_s):

@@ -7,6 +7,7 @@ import math
 import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fbrelay import (
     Backend,
@@ -425,3 +426,83 @@ class TestRefusedCells:
         assert sizes == []
         reliability_region("mrc", TEN_DB, [50, 200], [5, 10], Backend.quadrature())
         assert sizes == [2, 2, 2]  # mrc's three links over the two cells of n = 200
+
+
+# Each draw mixes a typical range with the extremes, so that most examples
+# evaluate something instead of failing on the first overflow.
+_SNR = st.one_of(st.sampled_from([1e-300, 1e300]),
+                 st.floats(-40.0, 60.0).map(lambda db: 10.0 ** (db / 10.0)))
+_ETA = st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True))
+_BETA = st.one_of(st.floats(0.05, 0.95), st.floats(0.0, 1.0),
+                  st.sampled_from([0.0, 5e-324, 0.9999999999999999, 1.0]))
+_ALPHA = st.one_of(st.floats(0.0, 6.0), st.floats(0.0, 2000.0))
+_N = st.one_of(st.integers(100, 5000), st.integers(1, 2 ** 1023),
+               st.sampled_from([1, 500, 2 ** 1023]),
+               st.floats(0.0, 1023.0).map(lambda e: int(2.0 ** e)))
+_K = st.one_of(st.integers(1, 2000), _N)
+_PROTOCOL = st.sampled_from(["dt", "df", "sc", "mrc"])
+_CONVENTION = st.sampled_from(["nats", "bits"])
+#: (axis, ascending values) of a sweep.
+_AXIS = st.one_of(*(
+    st.tuples(st.just(axis), st.lists(values, min_size=1, max_size=3).map(sorted))
+    for axis, values in (("total_snr", _SNR), ("blocklength", _N), ("eta", _ETA))))
+_CONFIG = st.builds(
+    lambda snr, eta, beta, alpha, n_s, n_r, k: dict(
+        total_snr=snr, eta=eta, beta=beta, path_loss_exp=alpha, n_s=n_s, n_r=n_r, k=k,
+        allow_short=True),
+    _SNR, _ETA, _BETA, _ALPHA, _N, _N, _K)
+
+
+def _grid(values):
+    return st.lists(values, min_size=1, max_size=2, unique=True).map(sorted)
+
+
+def _typed(call):
+    """call()'s result, or None where it raises an FbrelayError."""
+    try:
+        return call()
+    except FbrelayError:
+        return None
+
+
+@pytest.mark.filterwarnings("ignore:blocklength n=")  # allow_short's warning
+@pytest.mark.parametrize("backend", [
+    Backend.closed_form(),
+    # the quadrature's densities overflow on the way to a 0 or a typed error
+    # at tiny means, as in the true-tail slice of tests/test_oracles.py
+    pytest.param(Backend.quadrature(), marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
+], ids=lambda b: b.label)
+class TestWholeInputRange:
+    """Over SNRs from -40 to 60 dB and the linear extremes 1e-300 and 1e300,
+    eta in (0, 1], beta over [0, 1], alpha up to 2,000 and blocklengths and
+    payloads up to 2^1023, each driver gives its documented result on the
+    closed and quad backends, or raises an FbrelayError."""
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(_CONFIG, _PROTOCOL, _CONVENTION, _AXIS)
+    def test_sweep(self, backend, config, protocol, convention, axis):
+        rows = _typed(lambda: sweep(protocol, TopologyConfig(**config), *axis, backend,
+                                    convention))
+        for row in rows or ():
+            if row.error is None:
+                assert 0.0 <= row.outage <= 1.0, row
+            else:
+                assert math.isnan(row.outage) and isinstance(row.error, str), row
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(_SNR, _grid(_N), _grid(_K), _ETA, _BETA, _ALPHA, _PROTOCOL, _CONVENTION)
+    def test_reliability_region(self, backend, snr, n_values, k_values, eta, beta, alpha,
+                                protocol, convention):
+        grid = _typed(lambda: reliability_region(
+            protocol, snr, n_values, k_values, backend, convention, eta=eta, beta=beta,
+            path_loss_exp=alpha, allow_short=True))
+        if grid is not None:
+            assert isinstance(grid, RegionGrid)
+            assert sum(map(math.isnan, sum(grid.outage, ()))) == len(grid.errors), grid
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(_CONFIG, _PROTOCOL, _CONVENTION)
+    def test_optimize_eta(self, backend, config, protocol, convention):
+        best = _typed(lambda: optimize_eta(protocol, TopologyConfig(**config), backend,
+                                           convention))
+        assert best is None or isinstance(best, EtaOptimum)

@@ -14,6 +14,7 @@ import select
 import signal
 import sys
 import threading
+import time
 import warnings
 
 import numpy as np
@@ -893,15 +894,16 @@ class TestMonteCarlo:
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         monkeypatch.setenv(MAX_WORKERS_ENV, "1")
         want = self.three_calls()
-        sizes = set()
         for cap in ("2", "3", None, "1", "3", "2", None):
             if cap is None:
                 monkeypatch.delenv(MAX_WORKERS_ENV)
             else:
                 monkeypatch.setenv(MAX_WORKERS_ENV, cap)
             assert self.three_calls() == want, cap
-            sizes.add(oracles._pool_size)
-        assert sizes == {2, 3, 4}
+            if cap != "1":  # the kept pool has the capped size: asking for it is a cache hit
+                hits = oracles._pool.cache_info().hits
+                oracles._pool(int(cap or 4))
+                assert oracles._pool.cache_info().hits == hits + 1, cap
 
     def test_concurrent_callers_across_rebuilds(self):
         # Four callers ask for pool sizes 2, 3 and 4 in turn, so the pool is
@@ -913,7 +915,7 @@ class TestMonteCarlo:
             try:
                 for i in range(40):
                     size = 2 + (offset + i) % 3
-                    got = list(oracles._pool_map(lambda j: (size, j * j), 16, size))
+                    got = list(oracles._pool(size).map(lambda j: (size, j * j), range(16)))
                     if got != [(size, j * j) for j in range(16)]:
                         raise AssertionError(got)
                 done.append(offset)
@@ -936,6 +938,18 @@ class TestMonteCarlo:
     @staticmethod
     def pool_threads():
         return {t for t in threading.enumerate() if t.name.startswith("fbrelay-mc")}
+
+    def test_pool_rebuilds_leave_no_threads_behind(self, monkeypatch):
+        # Each change of the cap replaces the pool; the threads of a dropped
+        # pool must exit, leaving at most the largest pool's four.
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        for i in range(12):
+            monkeypatch.setenv(MAX_WORKERS_ENV, str(2 + i % 3))
+            fading_outage_mc(500, 0.5, 10.0, 20_000, seed=i)
+        deadline = time.monotonic() + 5.0
+        while len(self.pool_threads()) > 4 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert len(self.pool_threads()) <= 4
 
     def test_calls_reuse_the_pool_threads(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
